@@ -27,7 +27,7 @@ func report(t *testing.T, p *ir.Program, init func(*interp.Machine) error) *metr
 		t.Fatal(err)
 	}
 	hier := tinyHier()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollector(hier.Granularities(), 0)
 	var opts []interp.Option
 	if init != nil {
 		opts = append(opts, interp.WithInit(init))
@@ -301,7 +301,7 @@ func reportInfo(t *testing.T, p *ir.Program) (*ir.Info, *metrics.Report) {
 		t.Fatal(err)
 	}
 	hier := tinyHier()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollector(hier.Granularities(), 0)
 	run, err := interp.Run(info, nil, col)
 	if err != nil {
 		t.Fatal(err)

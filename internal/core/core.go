@@ -51,8 +51,6 @@ type Options struct {
 	Model metrics.Model
 	// HistRes overrides the histogram resolution (0 = default).
 	HistRes int
-	// UseFenwick selects the Fenwick order-statistic structure.
-	UseFenwick bool
 	// Simulate additionally runs the execution-driven cache simulator on
 	// the same trace (for prediction-vs-simulation comparisons).
 	Simulate bool

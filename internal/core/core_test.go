@@ -9,6 +9,7 @@ import (
 	"reusetool/internal/interp"
 	"reusetool/internal/ir"
 	"reusetool/internal/metrics"
+	"reusetool/internal/ostree"
 	"reusetool/internal/reusedist"
 	"reusetool/internal/trace"
 	"reusetool/internal/workloads"
@@ -155,19 +156,30 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestFenwickBackendAgrees builds the same fully-associative report from
+// engines on the default Epoch tree and on the Fenwick tree.
 func TestFenwickBackendAgrees(t *testing.T) {
-	a, err := Analyze(workloads.Stencil(48, 2), Options{Model: metrics.FullyAssoc})
+	info, err := workloads.Stencil(48, 2).Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Analyze(workloads.Stencil(48, 2), Options{Model: metrics.FullyAssoc, UseFenwick: true})
-	if err != nil {
-		t.Fatal(err)
+	hier := cache.ScaledItanium2()
+	report := func(kind ostree.Kind) *metrics.Report {
+		col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{Tree: kind})
+		if _, err := interpRun(info, col); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := metrics.Build(info, col, nil, hier, metrics.FullyAssoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
+	a, b := report(ostree.KindEpoch), report(ostree.KindFenwick)
 	for _, lvl := range []string{"L2", "L3", "TLB"} {
-		if a.Report.Level(lvl).TotalMisses != b.Report.Level(lvl).TotalMisses {
-			t.Errorf("%s: AVL %v vs Fenwick %v", lvl,
-				a.Report.Level(lvl).TotalMisses, b.Report.Level(lvl).TotalMisses)
+		if a.Level(lvl).TotalMisses != b.Level(lvl).TotalMisses {
+			t.Errorf("%s: Epoch %v vs Fenwick %v", lvl,
+				a.Level(lvl).TotalMisses, b.Level(lvl).TotalMisses)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"reusetool/internal/interp"
 	"reusetool/internal/ir"
 	"reusetool/internal/metrics"
-	"reusetool/internal/ostree"
 	"reusetool/internal/pipeline"
 	"reusetool/internal/reusedist"
 	"reusetool/internal/scope"
@@ -166,9 +165,6 @@ func finalized(prog *ir.Program, info *ir.Info) (*ir.Info, error) {
 // up front instead of growing on the per-access path.
 func (p Pipeline) newCollector(info *ir.Info, footprint uint64) *reusedist.Collector {
 	base := reusedist.Config{HistRes: p.HistRes, Sampling: p.Sampling}
-	if p.UseFenwick {
-		base.Tree = ostree.KindFenwick
-	}
 	base.Hints.FootprintBytes = footprint
 	if info != nil {
 		base.Hints.Refs = len(info.Refs)

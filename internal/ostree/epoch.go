@@ -152,6 +152,52 @@ func (e *Epoch) CountGreater(t uint64) uint64 {
 	return uint64(e.n) - uint64(e.prefix(pos-1))
 }
 
+// Touch returns CountGreater(prev), then deletes prev and inserts now, in
+// one pass when prev is live and the window has a free slot. prev's slot is
+// located once. The count is the BIT range (slot+1, next], summed by two
+// downward walks that stop where they meet. The -1 at prev's slot and the
+// +1 at the new slot go up two walks that stop where the paths merge: every
+// node above covers both slots, so the two updates cancel there. A full
+// window (compaction is due) or an absent prev takes the three-call path.
+func (e *Epoch) Touch(prev, now uint64) uint64 {
+	if int(e.next) == len(e.live) {
+		return touchByParts(e, prev, now)
+	}
+	slot := e.slotOf(prev)
+	if slot < 0 || !e.live[slot] {
+		return touchByParts(e, prev, now)
+	}
+	ns := e.next
+	if ns > e.runStart && now != e.slotTime[ns-1]+1 {
+		e.runStart = ns // see Insert: a clock gap starts a new affine run
+	}
+	var c uint32 // may wrap mid-walk; the final range sum is exact
+	for i, j := ns, slot+1; i != j; {
+		if i > j {
+			c += e.bit[i]
+			i -= i & (-i)
+		} else {
+			c -= e.bit[j]
+			j -= j & (-j)
+		}
+	}
+	top := int32(len(e.bit) - 1)
+	for a, b := slot+1, ns+1; a != b && min(a, b) <= top; {
+		if a < b {
+			e.bit[a]--
+			a += a & (-a)
+		} else {
+			e.bit[b]++
+			b += b & (-b)
+		}
+	}
+	e.live[slot] = false
+	e.live[ns] = true
+	e.slotTime[ns] = now
+	e.next++
+	return uint64(c)
+}
+
 // compact re-packs live slots to the front and starts a new epoch. The
 // window grows (doubles) only when more than half of it is live, so the
 // slot space stays proportional to the peak live set and compaction cost

@@ -110,6 +110,9 @@ func (f *Fenwick) CountGreater(t uint64) uint64 {
 	return uint64(f.n) - uint64(f.prefix(slot))
 }
 
+// Touch is CountGreater(prev), Delete(prev), Insert(now).
+func (f *Fenwick) Touch(prev, now uint64) uint64 { return touchByParts(f, prev, now) }
+
 // compact re-packs live slots to the front, growing the window while more
 // than half of it is live. Growth is explicit and unbounded — a live set of
 // any size (in particular one crossing the historical 1<<16 default window)

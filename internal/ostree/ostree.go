@@ -21,17 +21,32 @@
 //     engine default.
 //
 // All satisfy Tree and are compared in the ablation benchmarks.
+//
+// Every reuse asks the same three things in a row: count the keys newer
+// than the block's previous access time prev, remove prev, and insert the
+// current time now. Touch fuses them. AVL and Fenwick implement it as that
+// composition. Epoch does it in one pass over its binary indexed tree: it
+// finds prev's slot once, sums the range (prev's slot, newest slot] with two
+// downward walks that stop where they meet, and applies the -1 at prev's
+// slot and the +1 at the new slot with two upward walks that stop where
+// their paths merge, because above that node the two updates cancel. The
+// walks climb only as high as the highest bit in which the two slot indices
+// differ, so a reuse whose previous access sits d slots back typically costs
+// O(log d) instead of three O(log window) walks and two slot lookups.
 package ostree
 
 // Tree counts, inserts and deletes last-access timestamps.
 //
 // Insert adds a timestamp strictly greater than every timestamp ever
 // inserted before. Delete removes a present timestamp. CountGreater reports
-// how many live timestamps are strictly greater than t.
+// how many live timestamps are strictly greater than t. Touch(prev, now)
+// returns CountGreater(prev), then deletes prev and inserts now, exactly as
+// the three calls in that order would.
 type Tree interface {
 	Insert(t uint64)
 	Delete(t uint64)
 	CountGreater(t uint64) uint64
+	Touch(prev, now uint64) uint64
 	Len() int
 }
 
@@ -271,6 +286,17 @@ func (t *AVL) CountGreater(key uint64) uint64 {
 		}
 	}
 	return count
+}
+
+// Touch is CountGreater(prev), Delete(prev), Insert(now).
+func (t *AVL) Touch(prev, now uint64) uint64 { return touchByParts(t, prev, now) }
+
+// touchByParts is Touch as the three calls it stands for.
+func touchByParts(t Tree, prev, now uint64) uint64 {
+	c := t.CountGreater(prev)
+	t.Delete(prev)
+	t.Insert(now)
+	return c
 }
 
 // checkInvariants verifies AVL balance and size augmentation; used by tests.

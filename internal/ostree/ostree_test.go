@@ -1,6 +1,7 @@
 package ostree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -252,7 +253,7 @@ func TestFenwickCompaction(t *testing.T) {
 }
 
 // TestAllKindsAgreeWithOracle drives AVL, the map-backed Fenwick and the
-// epoch-compacted Fenwick through the same random insert/delete/count
+// epoch-compacted Fenwick through the same random insert/delete/count/touch
 // interleavings and checks every query against the brute-force oracle. The
 // three structures are interchangeable inside the engine (Config.Tree), so
 // any divergence here would silently change reported reuse distances.
@@ -268,7 +269,7 @@ func TestAllKindsAgreeWithOracle(t *testing.T) {
 		now := uint64(0)
 		inserted := []uint64{}
 		for i := 0; i < int(nOps)%2000+1; i++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0, 1: // insert, sometimes with a clock gap to break affine runs
 				now += uint64(rng.Intn(3) + 1)
 				for _, tr := range trees {
@@ -284,7 +285,7 @@ func TestAllKindsAgreeWithOracle(t *testing.T) {
 					}
 					ref.Delete(k)
 				}
-			default: // query any previously seen (possibly deleted) key
+			case 3: // query any previously seen (possibly deleted) key
 				if len(inserted) > 0 {
 					k := inserted[rng.Intn(len(inserted))]
 					want := ref.CountGreater(k)
@@ -293,6 +294,20 @@ func TestAllKindsAgreeWithOracle(t *testing.T) {
 							return false
 						}
 					}
+				}
+			default: // touch a random live key to now+1, as the engine does on a reuse
+				if len(ref.keys) > 0 {
+					k := ref.keys[rng.Intn(len(ref.keys))]
+					want := ref.CountGreater(k)
+					now++
+					for _, tr := range trees {
+						if got := tr.Touch(k, now); got != want {
+							return false
+						}
+					}
+					ref.Delete(k)
+					ref.Insert(now)
+					inserted = append(inserted, now)
 				}
 			}
 			for _, tr := range trees {
@@ -374,6 +389,201 @@ func TestEpochCompactionChurn(t *testing.T) {
 	}
 }
 
+// epochConsistent checks e against the oracle: the live slots hold exactly
+// ref's keys, in increasing order, and every BIT prefix sum equals the
+// number of live flags up to that slot. The last check catches a fused
+// update walk that stops one node early or late.
+func epochConsistent(e *Epoch, ref *brute) error {
+	if e.Len() != ref.Len() {
+		return fmt.Errorf("Len = %d, want %d", e.Len(), ref.Len())
+	}
+	want := map[uint64]bool{}
+	for _, k := range ref.keys {
+		want[k] = true
+	}
+	var live uint32
+	var last uint64
+	for s := int32(0); s < int32(len(e.live)); s++ {
+		if e.live[s] {
+			if s >= e.next {
+				return fmt.Errorf("slot %d live beyond next %d", s, e.next)
+			}
+			t := e.slotTime[s]
+			if !want[t] || (live > 0 && t <= last) {
+				return fmt.Errorf("slot %d holds %d, not an oracle key in order", s, t)
+			}
+			live++
+			last = t
+		}
+		if got := e.prefix(s); got != live {
+			return fmt.Errorf("prefix(%d) = %d, want %d", s, got, live)
+		}
+	}
+	if int(live) != len(want) {
+		return fmt.Errorf("%d live slots, want %d", live, len(want))
+	}
+	return nil
+}
+
+// TestEpochTouchRegimes drives Epoch.Touch through each regime the fused
+// walk handles differently from the three separate calls, and checks the
+// count and the whole tree state against the oracle after every touch.
+func TestEpochTouchRegimes(t *testing.T) {
+	type step struct{ prev, now uint64 }
+	insertRange := func(e *Epoch, ref *brute, lo, hi uint64) {
+		for k := lo; k <= hi; k++ {
+			e.Insert(k)
+			ref.Insert(k)
+		}
+	}
+	cases := []struct {
+		name  string
+		big   bool
+		setup func(ref *brute) *Epoch
+		steps []step
+		// check asserts, before the first touch, that setup reached the
+		// regime the case is about.
+		check func(e *Epoch) string
+	}{
+		{
+			name: "prev is the newest slot",
+			setup: func(ref *brute) *Epoch {
+				e := NewEpoch(16)
+				insertRange(e, ref, 1, 5)
+				return e
+			},
+			steps: []step{{5, 6}, {6, 7}},
+			check: func(e *Epoch) string {
+				if e.slotOf(5) != e.next-1 {
+					return "5 is not in the newest slot"
+				}
+				return ""
+			},
+		},
+		{
+			name: "prev in the compacted prefix",
+			setup: func(ref *brute) *Epoch {
+				e := NewEpoch(16)
+				insertRange(e, ref, 1, 16)
+				for k := uint64(2); k <= 16; k += 2 {
+					e.Delete(k)
+					ref.Delete(k)
+				}
+				insertRange(e, ref, 17, 17) // compacts; 17 starts a new run
+				return e
+			},
+			steps: []step{{3, 18}, {1, 19}, {15, 20}, {17, 21}},
+			check: func(e *Epoch) string {
+				if s := e.slotOf(3); s < 0 || s >= e.runStart {
+					return "3 is not in the compacted prefix"
+				}
+				return ""
+			},
+		},
+		{
+			name: "full window takes the compaction fallback",
+			setup: func(ref *brute) *Epoch {
+				e := NewEpoch(16)
+				insertRange(e, ref, 1, 16)
+				e.Delete(8)
+				ref.Delete(8)
+				return e
+			},
+			steps: []step{{4, 17}, {17, 18}, {1, 19}},
+			check: func(e *Epoch) string {
+				if int(e.next) != len(e.live) {
+					return "window is not full"
+				}
+				return ""
+			},
+		},
+		{
+			name: "clock gap starts a new affine run",
+			setup: func(ref *brute) *Epoch {
+				e := NewEpoch(16)
+				insertRange(e, ref, 1, 5)
+				return e
+			},
+			// 2->9 opens a run at slot 5; 4 is then found by binary
+			// search below it, and 9 and 10 through the new run.
+			steps: []step{{2, 9}, {4, 10}, {9, 11}, {10, 14}, {11, 15}},
+		},
+		{
+			name: "upward walk leaves the array before the paths merge",
+			setup: func(ref *brute) *Epoch {
+				// A 20-slot window: the walks from BIT indices 1 and 20
+				// meet only at 32, past the array's last index.
+				e := NewEpoch(20)
+				insertRange(e, ref, 1, 19)
+				return e
+			},
+			steps: []step{{1, 20}},
+			check: func(e *Epoch) string {
+				if len(e.bit)-1 != 20 || e.next != 19 {
+					return "new slot is not at the array's last index"
+				}
+				return ""
+			},
+		},
+		{
+			name: "new slot at a power-of-two last index",
+			setup: func(ref *brute) *Epoch {
+				e := NewEpoch(16)
+				insertRange(e, ref, 1, 15)
+				return e
+			},
+			steps: []step{{7, 16}},
+		},
+		{
+			name: "live set past 1<<16 grows the window",
+			big:  true,
+			setup: func(ref *brute) *Epoch {
+				e := NewEpoch(1 << 16)
+				insertRange(e, ref, 1, 1<<16)
+				return e
+			},
+			// The first touch compacts with every slot live, so the
+			// window doubles; the rest run the fused path in the grown
+			// window, near both ends of the old one.
+			steps: []step{{1, 1<<16 + 1}, {2, 1<<16 + 2}, {1 << 15, 1<<16 + 3}, {1<<16 - 1, 1<<16 + 4}, {1<<16 + 2, 1<<16 + 5}},
+			check: func(e *Epoch) string {
+				if int(e.next) != len(e.live) || len(e.live) != 1<<16 {
+					return "window of 1<<16 is not full"
+				}
+				return ""
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.big && testing.Short() {
+				t.Skip("large live set; skipped in -short")
+			}
+			ref := &brute{}
+			e := c.setup(ref)
+			if c.check != nil {
+				if msg := c.check(e); msg != "" {
+					t.Fatalf("setup: %s", msg)
+				}
+			}
+			for _, st := range c.steps {
+				want := ref.CountGreater(st.prev)
+				if got := e.Touch(st.prev, st.now); got != want {
+					t.Fatalf("Touch(%d, %d) = %d, want %d", st.prev, st.now, got, want)
+				}
+				ref.Delete(st.prev)
+				ref.Insert(st.now)
+				if err := epochConsistent(e, ref); err != nil {
+					t.Fatalf("after Touch(%d, %d): %v", st.prev, st.now, err)
+				}
+			}
+			if c.big && len(e.live) <= 1<<16 {
+				t.Errorf("window = %d, want it grown past 1<<16", len(e.live))
+			}
+		})
+	}
+}
+
 func TestFenwickAbsentKeyQuery(t *testing.T) {
 	f := NewFenwick(16)
 	for _, k := range []uint64{10, 20, 30, 40} {
@@ -416,9 +626,7 @@ func benchTree(b *testing.B, mk func() Tree, blocks int) {
 		now++
 		blk := rng.Intn(blocks)
 		old := live[blk]
-		_ = tr.CountGreater(old)
-		tr.Delete(old)
-		tr.Insert(now)
+		_ = tr.Touch(old, now)
 		live[blk] = now
 	}
 }

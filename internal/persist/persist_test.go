@@ -24,7 +24,7 @@ func collect(t *testing.T) (*reusedist.Collector, *metrics.Report, *cache.Hierar
 		t.Fatal(err)
 	}
 	hier := cache.ScaledItanium2()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollector(hier.Granularities(), 0)
 	run, err := interp.Run(info, nil, col)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestRoundTripPreservesPredictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	hier := cache.ScaledItanium2()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollector(hier.Granularities(), 0)
 	run, err := interp.Run(info, nil, col)
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,8 @@ type Collector struct {
 }
 
 // NewCollector builds a Collector with one engine per granularity.
-func NewCollector(grans []Granularity, histRes int, useFenwick bool) *Collector {
-	return NewCollectorWith(grans, Config{HistRes: histRes, UseFenwick: useFenwick})
+func NewCollector(grans []Granularity, histRes int) *Collector {
+	return NewCollectorWith(grans, Config{HistRes: histRes})
 }
 
 // NewCollectorWith builds a Collector whose engines share base's

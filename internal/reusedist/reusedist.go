@@ -134,10 +134,6 @@ type Config struct {
 	// KindAVL (the paper's structure) and KindFenwick remain available for
 	// ablation. All three are exact, so the choice never changes results.
 	Tree ostree.Kind
-	// UseFenwick selects the Fenwick order-statistic structure.
-	// Deprecated: set Tree to ostree.KindFenwick instead; kept for
-	// existing callers and overrides Tree when set.
-	UseFenwick bool
 	// Hints presizes the engine's data structures; zero values mean
 	// unknown and never affect results, only allocation behaviour.
 	Hints CapacityHints
@@ -236,10 +232,6 @@ func New(cfg Config) *Engine {
 	if res == 0 {
 		res = histo.DefaultResolution
 	}
-	kind := cfg.Tree
-	if cfg.UseFenwick {
-		kind = ostree.KindFenwick
-	}
 	blocks := 0
 	if cfg.Hints.FootprintBytes > 0 {
 		blocks = int(cfg.Hints.FootprintBytes >> cfg.BlockBits)
@@ -251,7 +243,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		table: blocktable.NewRadixHint(blocks),
-		tree:  ostree.NewTree(kind, blocks),
+		tree:  ostree.NewTree(cfg.Tree, blocks),
 		res:   res,
 		scale: 1,
 		minTh: histo.Cold, // MaxUint64: no threshold ever reached
@@ -373,9 +365,7 @@ func (e *Engine) accessBlock(ref trace.RefID, block uint64) {
 	// Distances are measured in the sampled address space and scaled to
 	// full-trace units by the current rate (scale is 1 when exact, so
 	// the multiply never branches).
-	dist := e.tree.CountGreater(prev.Time) * e.scale
-	e.tree.Delete(prev.Time)
-	e.tree.Insert(now)
+	dist := e.tree.Touch(prev.Time, now) * e.scale
 	e.arcs++
 
 	key := PatternKey{Source: prev.Scope, Carrying: e.stack.Carrying(prev.Time), Context: e.context()}

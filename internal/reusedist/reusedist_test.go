@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"reusetool/internal/ostree"
 	"reusetool/internal/trace"
 )
 
@@ -268,12 +269,12 @@ func patternsEqual(t *testing.T, a, b *RefData) bool {
 
 // TestEngineMatchesNaive is the central differential test: the O(log M)
 // engine must agree exactly with the O(N·M) reference implementation,
-// pattern by pattern, for both tree implementations.
+// pattern by pattern, for every tree implementation.
 func TestEngineMatchesNaive(t *testing.T) {
-	for _, useFenwick := range []bool{false, true} {
+	for _, kind := range []ostree.Kind{ostree.KindEpoch, ostree.KindAVL, ostree.KindFenwick} {
 		f := func(seed int64) bool {
 			thresholds := []uint64{4, 16, 64}
-			e := New(Config{BlockBits: 6, Thresholds: thresholds, UseFenwick: useFenwick})
+			e := New(Config{BlockBits: 6, Thresholds: thresholds, Tree: kind})
 			n := NewNaive(6, thresholds)
 			randomTrace(seed, 2000, trace.Multi{e, n})
 			for _, rd := range e.Refs() {
@@ -285,7 +286,7 @@ func TestEngineMatchesNaive(t *testing.T) {
 			return len(e.Refs()) == len(n.Refs())
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-			t.Errorf("useFenwick=%v: %v", useFenwick, err)
+			t.Errorf("%s: %v", kind, err)
 		}
 	}
 }
@@ -294,7 +295,7 @@ func TestCollectorLevelsAndEngines(t *testing.T) {
 	c := NewCollector([]Granularity{
 		{Name: "line", BlockBits: 7, Thresholds: []uint64{2048, 12288}, LevelNames: []string{"L2", "L3"}},
 		{Name: "page", BlockBits: 14, Thresholds: []uint64{128}, LevelNames: []string{"TLB"}},
-	}, 0, false)
+	}, 0)
 	c.EnterScope(0)
 	for i := 0; i < 1000; i++ {
 		c.Access(1, uint64(i%100)*128, 8, false)
@@ -356,11 +357,12 @@ func TestTotalsConsistency(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineAVL(b *testing.B)     { benchEngine(b, false) }
-func BenchmarkEngineFenwick(b *testing.B) { benchEngine(b, true) }
+func BenchmarkEngineEpoch(b *testing.B)   { benchEngine(b, ostree.KindEpoch) }
+func BenchmarkEngineAVL(b *testing.B)     { benchEngine(b, ostree.KindAVL) }
+func BenchmarkEngineFenwick(b *testing.B) { benchEngine(b, ostree.KindFenwick) }
 
-func benchEngine(b *testing.B, fenwick bool) {
-	e := New(Config{BlockBits: 7, Thresholds: []uint64{2048, 12288}, UseFenwick: fenwick})
+func benchEngine(b *testing.B, kind ostree.Kind) {
+	e := New(Config{BlockBits: 7, Thresholds: []uint64{2048, 12288}, Tree: kind})
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]uint64, 1<<16)
 	for i := range addrs {

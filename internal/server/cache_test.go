@@ -24,7 +24,7 @@ func collectEntry(t *testing.T, key string) *CacheEntry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := reusedist.NewCollector(cache.ScaledItanium2().Granularities(), 0, false)
+	col := reusedist.NewCollector(cache.ScaledItanium2().Granularities(), 0)
 	if _, err := interp.Run(info, nil, col); err != nil {
 		t.Fatal(err)
 	}

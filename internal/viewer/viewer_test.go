@@ -23,7 +23,7 @@ func buildReport(t *testing.T, prog *ir.Program, params map[string]int64) *metri
 		t.Fatal(err)
 	}
 	hier := cache.ScaledItanium2()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollector(hier.Granularities(), 0)
 	run, err := interp.Run(info, params, col)
 	if err != nil {
 		t.Fatal(err)

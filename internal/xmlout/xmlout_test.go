@@ -29,7 +29,7 @@ func sampleReport(t *testing.T) *sample {
 	}
 	params := map[string]int64{"N": 64, "M": 16}
 	hier := cache.ScaledItanium2()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollector(hier.Granularities(), 0)
 	run, err := interp.Run(info, params, col)
 	if err != nil {
 		t.Fatal(err)
