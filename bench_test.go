@@ -221,11 +221,11 @@ func BenchmarkFig11d_TimeVsMicell(b *testing.B) {
 // Ablations (DESIGN.md section 5).
 // ---------------------------------------------------------------------
 
-// BenchmarkAblation_OSTree compares the three order-statistic structures
-// (the paper's AVL tree, the map-backed Fenwick window, and the default
-// map-free epoch-compacted Fenwick) by replaying the recorded Sweep3D
-// event stream through otherwise identical engines. All three are exact,
-// so the fingerprint is asserted equal across kinds.
+// BenchmarkAblation_OSTree compares the two order-statistic structures
+// (the paper's AVL tree and the default epoch-compacted binary indexed
+// tree) by replaying the recorded Sweep3D event stream through otherwise
+// identical engines. Both are exact, so the fingerprint is asserted equal
+// across kinds.
 func BenchmarkAblation_OSTree(b *testing.B) {
 	events, err := experiments.HotpathTrace("sweep3d")
 	if err != nil {
@@ -233,7 +233,7 @@ func BenchmarkAblation_OSTree(b *testing.B) {
 	}
 	grans := hier().Granularities()
 	var want uint64
-	for _, kind := range []ostree.Kind{ostree.KindEpoch, ostree.KindAVL, ostree.KindFenwick} {
+	for _, kind := range []ostree.Kind{ostree.KindEpoch, ostree.KindAVL} {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
 			var fp uint64
@@ -253,9 +253,9 @@ func BenchmarkAblation_OSTree(b *testing.B) {
 
 // BenchmarkHotpath is the per-workload engine-throughput suite: each
 // sub-benchmark replays one recorded trace through a fresh collector and
-// reports ns per reference access. BENCH_hotpath.json records measured
-// before/after numbers for the hot-path overhaul; CI replays every
-// workload once (-bench=Hotpath -benchtime=1x) as a smoke test.
+// reports ns per reference access. CI replays every workload once
+// (-bench=Hotpath -benchtime=1x) as a smoke test; the engine's cost
+// inside whole runs is perfbench's traced reusedist.ns_per_access.
 func BenchmarkHotpath(b *testing.B) {
 	h := hier()
 	for _, name := range experiments.HotpathWorkloads() {
@@ -405,7 +405,8 @@ func fanoutHier() *cache.Hierarchy {
 // benchFanout drives the full analysis (three engines + simulator) over
 // a ~1M-access streaming workload, sequentially or through the
 // goroutine fan-out. CI runs both with -bench=Fanout -benchtime=1x as a
-// smoke test; BENCH_fanout.json records a measured baseline.
+// smoke test; perfbench's traced pipeline.fanout_ratio measures the
+// fan-out inside whole runs.
 func benchFanout(b *testing.B, parallel bool) {
 	info, err := workloads.Stream(1<<18, 4).Finalize()
 	if err != nil {

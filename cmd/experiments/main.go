@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run: all, fig1, fig2, fig5, table2, fig8, fig9, fig10, fig11, predict, static, hotpath, sampling")
+		exp     = flag.String("exp", "all", "experiment to run: all, fig1, fig2, fig5, table2, fig8, fig9, fig10, fig11, predict, static, sampling")
 		mesh    = flag.Int64("mesh", 12, "Sweep3D mesh size for fig5/table2")
 		meshes  = flag.String("meshes", "6,8,10,12,16,20", "comma-separated mesh sizes for fig8")
 		grid    = flag.Int64("grid", 2048, "GTC grid size")
@@ -39,10 +39,6 @@ func main() {
 		full    = flag.Bool("full", false, "use the full-size Itanium2 hierarchy instead of the scaled one")
 		csvDir  = flag.String("csv", "", "also write fig8.csv and fig11.csv curve data into this directory")
 		jobs    = flag.Int("jobs", 0, "max sweep points evaluated concurrently (0 = one per CPU)")
-
-		hotOut      = flag.String("hotpath-out", "", "write hotpath suite results as JSON to this file")
-		hotBaseline = flag.String("hotpath-baseline", "", "previously written hotpath JSON to compute speedups against")
-		hotRepeat   = flag.Int("hotpath-repeat", 3, "replay repetitions per hotpath workload (fastest wins)")
 
 		sampOut    = flag.String("sampling-out", "", "write sampling suite results as JSON to this file")
 		sampNames  = flag.String("sampling-workloads", "", "comma-separated workloads for the sampling suite (default: all built-ins)")
@@ -93,7 +89,6 @@ func main() {
 		return runPredictModel(hier, hierName, *predOut)
 	})
 	run("static", runStatic)
-	run("hotpath", func() error { return runHotpath(hier, *hotRepeat, *hotOut, *hotBaseline) })
 	run("sampling", func() error {
 		var rates []uint64
 		for _, v := range parseInts(*sampRates) {
@@ -136,20 +131,19 @@ func runPredict(hier *cache.Hierarchy) error {
 	targets := []int64{14, 18}
 	fmt.Printf("Cross-input L2 miss prediction for Sweep3D (ref [14] modeling):\n")
 	fmt.Printf("training meshes %v, predicting %v\n", train, targets)
+	merged, perPattern, err := experiments.PredictSweep3D(train, targets, "L2", hier)
+	if err != nil {
+		return err
+	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "MODEL\tMESH\tPREDICTED\tMEASURED\tERROR")
-	for _, perPattern := range []bool{false, true} {
-		name := "merged"
-		if perPattern {
-			name = "per-pattern"
-		}
-		rows, err := experiments.PredictSweep3D(train, targets, "L2", hier, perPattern)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
+	for _, m := range []struct {
+		name string
+		rows []experiments.PredictRow
+	}{{"merged", merged}, {"per-pattern", perPattern}} {
+		for _, r := range m.rows {
 			fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%+.1f%%\n",
-				name, r.Mesh, r.Predicted, r.Measured, r.RelErr()*100)
+				m.name, r.Mesh, r.Predicted, r.Measured, r.RelErr()*100)
 		}
 	}
 	return tw.Flush()
@@ -176,6 +170,9 @@ func writeCSV(path string, records [][]string) error {
 	}
 	return f.Close()
 }
+
+// round2 rounds to two decimal places for the JSON result files.
+func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 
 func parseInts(s string) []int64 {
 	var out []int64

@@ -1,8 +1,8 @@
 // Scaling: the cross-input modeling the paper inherits from Marin &
-// Mellor-Crummey [14]. Collects reuse-distance histograms for a stencil
-// at several training sizes, fits scaling models, predicts the miss count
-// at a larger size never measured, and validates the prediction against a
-// real run at that size.
+// Mellor-Crummey [14]. Runs a stencil at several training sizes, fits
+// per-pattern scaling models, predicts the miss count at a larger size
+// never measured, and validates the prediction against a real run at
+// that size.
 //
 //	go run ./examples/scaling
 package main
@@ -13,64 +13,68 @@ import (
 
 	"reusetool/internal/cache"
 	"reusetool/internal/core"
-	"reusetool/internal/histo"
-	"reusetool/internal/model"
+	"reusetool/internal/predict"
 	"reusetool/internal/workloads"
 )
 
 func main() {
 	hier := cache.ScaledItanium2()
-	level := hier.Levels[1] // L3
+	const level = "L3"
 
 	train := []int64{32, 48, 64}
 	const target = 128
 
 	fmt.Printf("training on stencil sizes %v, predicting N=%d\n\n", train, target)
 
-	// Collect one merged L3-granularity histogram per training size.
-	var ns []float64
-	var hists []*histo.Histogram
+	var runs []*predict.TrainingRun
 	for _, n := range train {
-		h, accesses := collect(n, hier)
-		ns = append(ns, float64(n))
-		hists = append(hists, h)
-		fmt.Printf("  N=%3d: %9d accesses, %s\n", n, accesses, h)
+		res := run(n, hier)
+		tr, err := res.TrainingRun()
+		if err != nil {
+			log.Fatal(err)
+		}
+		runs = append(runs, tr)
+		fmt.Printf("  N=%3d: %9d %s misses\n", n, int64(res.Report.Level(level).TotalMisses), level)
 	}
 
-	m, err := model.FitHistograms(ns, hists, 128, nil)
+	info, err := workloads.Stencil(train[0], 2).Finalize()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nfitted scaling: total %s; cold %s\n", m.TotalFit, m.ColdFit)
+	m, err := predict.Fit(info, runs, predict.FitOptions{HierName: hier.Name})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nfitted %d reuse patterns per granularity\n", len(m.Grans[0].Patterns))
 
-	predicted := m.PredictMisses(level, target)
+	p, err := m.Predict(map[string]int64{"N": target})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var predicted float64
+	for _, lm := range p.LevelMisses(hier) {
+		if lm.Level == level {
+			predicted = lm.Total
+		}
+	}
 
 	// Validate against a real run at the target size.
-	actualHist, _ := collect(target, hier)
-	actual := level.ExpectedMisses(actualHist)
+	actual := run(target, hier).Report.Level(level).TotalMisses
 
-	fmt.Printf("\npredicted %s misses at N=%d: %.0f\n", level.Name, target, predicted)
-	fmt.Printf("measured  %s misses at N=%d: %.0f\n", level.Name, target, actual)
+	fmt.Printf("\npredicted %s misses at N=%d: %.0f\n", level, target, predicted)
+	fmt.Printf("measured  %s misses at N=%d: %.0f\n", level, target, actual)
 	fmt.Printf("relative error: %+.1f%%\n", 100*(predicted-actual)/actual)
 }
 
-// collect runs the stencil at size n and merges all per-pattern
-// histograms at the cache-line granularity into one.
-func collect(n int64, hier *cache.Hierarchy) (*histo.Histogram, uint64) {
+// run analyzes the stencil at size n. The explicit N binding is what the
+// training run records, and what Fit fits against.
+func run(n int64, hier *cache.Hierarchy) *core.Result {
 	res, err := core.Pipeline{
 		Source:  core.DynamicSource{Prog: workloads.Stencil(n, 2)},
-		Options: core.Options{Hierarchy: hier},
+		Options: core.Options{Hierarchy: hier, Params: map[string]int64{"N": n}},
 	}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, _ := res.Collector.Level("L3")
-	merged := histo.New()
-	for _, rd := range eng.Refs() {
-		merged.AddN(histo.Cold, rd.Cold)
-		for _, p := range rd.Patterns {
-			merged.Merge(p.Hist)
-		}
-	}
-	return merged, eng.TotalAccesses()
+	return res
 }

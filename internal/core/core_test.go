@@ -16,7 +16,7 @@ import (
 )
 
 func TestAnalyzeFig1EndToEnd(t *testing.T) {
-	res, err := Analyze(workloads.Fig1(false), Options{Simulate: true})
+	res, err := Pipeline{Source: DynamicSource{Prog: workloads.Fig1(false)}, Options: Options{Simulate: true}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestAnalyzeFig1EndToEnd(t *testing.T) {
 		t.Fatal("no L2 misses for the bad loop order")
 	}
 	// The interchanged version must predict far fewer L2 misses.
-	res2, err := Analyze(workloads.Fig1(true), Options{})
+	res2, err := Pipeline{Source: DynamicSource{Prog: workloads.Fig1(true)}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +59,9 @@ func TestPredictionMatchesSimulationFullyAssoc(t *testing.T) {
 			{Name: "TLB", LineBits: 12, Sets: 1, Assoc: 16, Latency: 30},
 		},
 	}
-	res, err := Analyze(workloads.Stencil(64, 3), Options{
+	res, err := Pipeline{Source: DynamicSource{Prog: workloads.Stencil(64, 3)}, Options: Options{
 		Hierarchy: hier, Model: metrics.FullyAssoc, Simulate: true,
-	})
+	}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPredictionMatchesSimulationFullyAssoc(t *testing.T) {
 func TestSetAssocPredictionTracksSimulation(t *testing.T) {
 	// On the real (set-associative) scaled hierarchy, the probabilistic
 	// model must track the simulator within 20% on a non-trivial code.
-	res, err := Analyze(workloads.Stencil(96, 3), Options{Simulate: true})
+	res, err := Pipeline{Source: DynamicSource{Prog: workloads.Stencil(96, 3)}, Options: Options{Simulate: true}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ func TestSetAssocPredictionTracksSimulation(t *testing.T) {
 }
 
 func TestSimulateLightPath(t *testing.T) {
-	sr, err := Simulate(workloads.Stream(4096, 3), Options{})
+	sr, err := Pipeline{Source: DynamicSource{Prog: workloads.Stream(4096, 3)}, Options: Options{SimulateOnly: true}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Accesses != 3*4096 {
-		t.Errorf("accesses = %d, want %d", sr.Accesses, 3*4096)
+	if sr.Run.Accesses != 3*4096 {
+		t.Errorf("accesses = %d, want %d", sr.Run.Accesses, 3*4096)
 	}
 	if sr.Misses("L2") == 0 {
 		t.Error("streaming 32KB through a 16KB L2 should miss")
@@ -112,17 +112,17 @@ func TestSimulateLightPath(t *testing.T) {
 }
 
 func TestParamOverrides(t *testing.T) {
-	sr, err := Simulate(workloads.Stream(4096, 3), Options{Params: map[string]int64{"T": 1}})
+	sr, err := Pipeline{Source: DynamicSource{Prog: workloads.Stream(4096, 3)}, Options: Options{SimulateOnly: true, Params: map[string]int64{"T": 1}}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Accesses != 4096 {
-		t.Errorf("accesses = %d, want 4096", sr.Accesses)
+	if sr.Run.Accesses != 4096 {
+		t.Errorf("accesses = %d, want 4096", sr.Run.Accesses)
 	}
 }
 
 func TestWriteXMLAndSummary(t *testing.T) {
-	res, err := Analyze(workloads.Fig2(), Options{Params: map[string]int64{"N": 64, "M": 16}})
+	res, err := Pipeline{Source: DynamicSource{Prog: workloads.Fig2()}, Options: Options{Params: map[string]int64{"N": 64, "M": 16}}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +151,15 @@ func TestWriteXMLAndSummary(t *testing.T) {
 func TestAnalyzeErrors(t *testing.T) {
 	// Unfinalizable program.
 	p := workloads.Fig1(false)
-	if _, err := Analyze(p, Options{Params: map[string]int64{"BOGUS": 1}}); err == nil {
+	_, err := Pipeline{Source: DynamicSource{Prog: p}, Options: Options{Params: map[string]int64{"BOGUS": 1}}}.Run()
+	if err == nil {
 		t.Error("bogus parameter should fail")
 	}
 }
 
-// TestFenwickBackendAgrees builds the same fully-associative report from
-// engines on the default Epoch tree and on the Fenwick tree.
-func TestFenwickBackendAgrees(t *testing.T) {
+// TestTreeKindsAgree builds the same fully-associative report from
+// engines on the default Epoch tree and on the paper's AVL tree.
+func TestTreeKindsAgree(t *testing.T) {
 	info, err := workloads.Stencil(48, 2).Finalize()
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +176,10 @@ func TestFenwickBackendAgrees(t *testing.T) {
 		}
 		return rep
 	}
-	a, b := report(ostree.KindEpoch), report(ostree.KindFenwick)
+	a, b := report(ostree.KindEpoch), report(ostree.KindAVL)
 	for _, lvl := range []string{"L2", "L3", "TLB"} {
 		if a.Level(lvl).TotalMisses != b.Level(lvl).TotalMisses {
-			t.Errorf("%s: Epoch %v vs Fenwick %v", lvl,
+			t.Errorf("%s: Epoch %v vs AVL %v", lvl,
 				a.Level(lvl).TotalMisses, b.Level(lvl).TotalMisses)
 		}
 	}
@@ -188,12 +189,12 @@ func TestTrackContextSplitsPatterns(t *testing.T) {
 	// A callee touching the same array is invoked from two call sites;
 	// context tracking must separate the patterns per call path.
 	p := irProgramWithTwoCallers(t)
-	plain, err := Analyze(p, Options{Model: metrics.FullyAssoc})
+	plain, err := Pipeline{Source: DynamicSource{Prog: p}, Options: Options{Model: metrics.FullyAssoc}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := irProgramWithTwoCallers(t)
-	ctx, err := Analyze(p2, Options{Model: metrics.FullyAssoc, TrackContext: true})
+	ctx, err := Pipeline{Source: DynamicSource{Prog: p2}, Options: Options{Model: metrics.FullyAssoc, TrackContext: true}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func irProgramWithTwoCallers(t *testing.T) *ir.Program {
 
 func TestAnalyzeSavedRebuildsReport(t *testing.T) {
 	// Live analysis of fig2.
-	live, err := Analyze(workloads.Fig2(), Options{Params: map[string]int64{"N": 64, "M": 16}})
+	live, err := Pipeline{Source: DynamicSource{Prog: workloads.Fig2()}, Options: Options{Params: map[string]int64{"N": 64, "M": 16}}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestAnalyzeSavedRebuildsReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved, err := AnalyzeSaved(info2, live.Collector, nil, Options{Params: map[string]int64{"N": 64, "M": 16}})
+	saved, err := Pipeline{Source: SavedSource{Info: info2, Collector: live.Collector}, Options: Options{Params: map[string]int64{"N": 64, "M": 16}}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestAnalyzeSavedRebuildsReport(t *testing.T) {
 	// Static analysis ran with default trips and still found fig2's
 	// fragmentation.
 	if saved.Report.Level("L2").FragMissesByArray["A"] <= 0 {
-		t.Error("AnalyzeSaved lost fragmentation attribution")
+		t.Error("SavedSource lost fragmentation attribution")
 	}
 }
 

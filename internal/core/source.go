@@ -87,8 +87,7 @@ func (TraceSource) sourceKind() string { return "trace" }
 
 // Pipeline is the single entry point of the toolkit: a Source feeding
 // the reuse-distance engines, the cache models and the report builder,
-// configured by Options. The legacy Analyze*/Simulate functions are thin
-// wrappers over it.
+// configured by Options.
 //
 //	res, err := core.Pipeline{
 //	    Source:  core.DynamicSource{Prog: prog},

@@ -307,11 +307,7 @@ func TestPredictSweep3D(t *testing.T) {
 	}
 	train := []int64{6, 8, 10}
 	targets := []int64{14}
-	merged, err := PredictSweep3D(train, targets, "L2", cache.ScaledItanium2(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perPat, err := PredictSweep3D(train, targets, "L2", cache.ScaledItanium2(), true)
+	merged, perPat, err := PredictSweep3D(train, targets, "L2", cache.ScaledItanium2())
 	if err != nil {
 		t.Fatal(err)
 	}

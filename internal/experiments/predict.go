@@ -6,8 +6,7 @@ import (
 	"reusetool/internal/cache"
 	"reusetool/internal/core"
 	"reusetool/internal/histo"
-	"reusetool/internal/model"
-	"reusetool/internal/trace"
+	"reusetool/internal/predict"
 	"reusetool/internal/workloads"
 )
 
@@ -26,167 +25,109 @@ func (r PredictRow) RelErr() float64 {
 	return (r.Predicted - r.Measured) / r.Measured
 }
 
-// patKey identifies a reuse pattern across runs of the same program at
-// different sizes: program structure (and hence scope and reference IDs)
-// is identical, so the triple is stable.
-type patKey struct {
-	ref      trace.RefID
-	source   trace.ScopeID
-	carrying trace.ScopeID
-}
-
-// collection holds one training run's data at one level granularity.
-type collection struct {
-	mesh     int64
-	patterns map[patKey]*histo.Histogram
-	cold     float64
-}
+// mergedKey is the one pattern of the merged baseline. It names no
+// reference, so no static access-count hint applies to its fits.
+var mergedKey = predict.Key{Ref: -1, Source: -1, Carrying: -1}
 
 // PredictSweep3D implements the paper's cross-input modeling (Section II,
-// ref [14]): reuse-distance histograms collected for Sweep3D at the
-// training mesh sizes are fitted with scaling models — per reuse pattern
-// when perPattern is true, on one merged histogram otherwise — and used to
-// predict the miss count at unmeasured target sizes, which is then
-// validated against an actual run. The paper argues the finer per-pattern
-// granularity yields more accurate models.
-func PredictSweep3D(train, targets []int64, levelName string, hier *cache.Hierarchy, perPattern bool) ([]PredictRow, error) {
+// ref [14]): Sweep3D runs at the training mesh sizes are fitted with
+// internal/predict's scaling models and used to predict the miss count
+// at unmeasured target sizes, which is then validated against an actual
+// run. It fits the same training runs twice: once per reuse pattern,
+// and once with every pattern's histogram merged into a single one. The
+// paper argues the finer per-pattern granularity yields more accurate
+// models.
+func PredictSweep3D(train, targets []int64, levelName string, hier *cache.Hierarchy) (merged, perPattern []PredictRow, err error) {
 	if len(train) < 2 {
-		return nil, fmt.Errorf("need at least 2 training sizes")
+		return nil, nil, fmt.Errorf("need at least 2 training sizes")
 	}
-	level := hier.Level(levelName)
-	if level == nil {
-		return nil, fmt.Errorf("unknown level %q", levelName)
+	if hier.Level(levelName) == nil {
+		return nil, nil, fmt.Errorf("unknown level %q", levelName)
 	}
+	mesh := func(n int64) map[string]int64 { return map[string]int64{"it": n, "jt": n, "kt": n} }
 
-	collect := func(n int64) (*collection, error) {
-		cfg := workloads.DefaultSweep3D()
-		cfg.N = n
-		prog, err := workloads.Sweep3D(cfg)
+	// One pipeline per mesh, training and target sizes alike.
+	meshes := append(append([]int64{}, train...), targets...)
+	results := make([]*core.Result, len(meshes))
+	err = forEachParallel(len(meshes), func(i int) error {
+		prog, err := workloads.Sweep3D(workloads.DefaultSweep3D())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res, err := analyze(prog, core.Options{Hierarchy: hier})
-		if err != nil {
-			return nil, err
-		}
-		eng, _ := res.Collector.Level(levelName)
-		c := &collection{mesh: n, patterns: map[patKey]*histo.Histogram{}}
-		for _, rd := range eng.Refs() {
-			c.cold += float64(rd.Cold)
-			for _, p := range rd.Patterns {
-				k := patKey{ref: rd.Ref, source: p.Key.Source, carrying: p.Key.Carrying}
-				if h, ok := c.patterns[k]; ok {
-					h.Merge(p.Hist)
-				} else {
-					c.patterns[k] = p.Hist.Clone()
-				}
-			}
-		}
-		return c, nil
-	}
-
-	var cols []*collection
-	ns := make([]float64, 0, len(train))
-	for _, n := range train {
-		c, err := collect(n)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, c)
-		ns = append(ns, float64(n))
-	}
-
-	// Fit the cold (compulsory) series once.
-	colds := make([]float64, len(cols))
-	for i, c := range cols {
-		colds[i] = c.cold
-	}
-	coldFit, err := model.FitBest(ns, colds, nil)
+		results[i], err = analyze(prog, core.Options{Hierarchy: hier, Params: mesh(meshes[i])})
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	type predictor func(n float64) float64
+	prog, err := workloads.Sweep3D(workloads.DefaultSweep3D())
+	if err != nil {
+		return nil, nil, err
+	}
+	info, err := prog.Finalize()
+	if err != nil {
+		return nil, nil, err
+	}
+	runs := make([]*predict.TrainingRun, len(train))
+	mergedRuns := make([]*predict.TrainingRun, len(train))
+	for i, res := range results[:len(train)] {
+		if runs[i], err = res.TrainingRun(); err != nil {
+			return nil, nil, err
+		}
+		mergedRuns[i] = mergePatterns(runs[i])
+	}
+	opts := predict.FitOptions{HierName: hier.Name}
+	patModel, err := predict.Fit(info, runs, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	mergedModel, err := predict.Fit(info, mergedRuns, opts)
+	if err != nil {
+		return nil, nil, err
+	}
 
-	var predictCapacity predictor
-	if perPattern {
-		// One model per reuse pattern seen in every training run.
-		keys := map[patKey]bool{}
-		for k := range cols[0].patterns {
-			keys[k] = true
-		}
-		var fits []*model.HistModel
-		for k := range keys {
-			hists := make([]*histo.Histogram, 0, len(cols))
-			for _, c := range cols {
-				h := c.patterns[k]
-				if h == nil {
-					h = histo.New()
-				}
-				hists = append(hists, h)
-			}
-			m, err := model.FitHistograms(ns, hists, 32, nil)
-			if err != nil {
-				return nil, err
-			}
-			fits = append(fits, m)
-		}
-		predictCapacity = func(n float64) float64 {
-			var sum float64
-			for _, m := range fits {
-				sum += m.PredictMisses(*level, n)
-			}
-			return sum
-		}
-	} else {
-		// One model for the whole program's merged histogram.
-		hists := make([]*histo.Histogram, len(cols))
-		for i, c := range cols {
-			merged := histo.New()
-			for _, h := range c.patterns {
-				merged.Merge(h)
-			}
-			hists[i] = merged
-		}
-		m, err := model.FitHistograms(ns, hists, 128, nil)
+	levelMisses := func(m *predict.Model, n int64) (float64, error) {
+		p, err := m.Predict(mesh(n))
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		predictCapacity = func(n float64) float64 { return m.PredictMisses(*level, n) }
+		for _, lm := range p.LevelMisses(hier) {
+			if lm.Level == levelName {
+				return lm.Total, nil
+			}
+		}
+		return 0, fmt.Errorf("model has no %s granularity", levelName)
 	}
-
-	var rows []PredictRow
-	for _, n := range targets {
-		measured, err := measureSweep3D(n, levelName, hier)
+	for i, n := range targets {
+		measured := results[len(train)+i].Report.Level(levelName).TotalMisses
+		mp, err := levelMisses(mergedModel, n)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		pred := predictCapacity(float64(n)) + clampNonNeg(coldFit.Eval(float64(n)))
-		rows = append(rows, PredictRow{Mesh: n, Predicted: pred, Measured: measured})
+		pp, err := levelMisses(patModel, n)
+		if err != nil {
+			return nil, nil, err
+		}
+		merged = append(merged, PredictRow{Mesh: n, Predicted: mp, Measured: measured})
+		perPattern = append(perPattern, PredictRow{Mesh: n, Predicted: pp, Measured: measured})
 	}
-	return rows, nil
+	return merged, perPattern, nil
 }
 
-func clampNonNeg(v float64) float64 {
-	if v < 0 {
-		return 0
+// mergePatterns returns a copy of a training run whose per-pattern
+// histograms are merged into the single mergedKey pattern at every
+// granularity.
+func mergePatterns(run *predict.TrainingRun) *predict.TrainingRun {
+	out := *run
+	out.Grans = make([]predict.GranData, len(run.Grans))
+	for i, g := range run.Grans {
+		h := histo.NewRes(g.Res)
+		for _, ph := range g.Patterns {
+			h.Merge(ph)
+		}
+		g.Patterns = map[predict.Key]*histo.Histogram{mergedKey: h}
+		out.Grans[i] = g
 	}
-	return v
-}
-
-// measureSweep3D runs the workload at mesh n and returns the predicted
-// misses from its own (measured) histograms — the ground truth the scaled
-// models are judged against.
-func measureSweep3D(n int64, levelName string, hier *cache.Hierarchy) (float64, error) {
-	cfg := workloads.DefaultSweep3D()
-	cfg.N = n
-	prog, err := workloads.Sweep3D(cfg)
-	if err != nil {
-		return 0, err
-	}
-	res, err := analyze(prog, core.Options{Hierarchy: hier})
-	if err != nil {
-		return 0, err
-	}
-	return res.Report.Level(levelName).TotalMisses, nil
+	return &out
 }

@@ -6,9 +6,8 @@ import "sort"
 // indexed tree over a bounded, periodically compacted slot window, with no
 // per-operation hashing.
 //
-// Like Fenwick, it exploits the engine's access pattern — timestamps are
-// inserted in strictly increasing order — but it drops Fenwick's
-// timestamp-to-slot map entirely:
+// It exploits the engine's access pattern — timestamps are inserted in
+// strictly increasing order — so it needs no timestamp-to-slot map:
 //
 //   - Slots are assigned in insertion order, so slot times are strictly
 //     increasing and any timestamp can be located by binary search.

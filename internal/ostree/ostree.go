@@ -7,24 +7,21 @@
 // last-access times of live memory blocks; they are unique (one access per
 // clock tick) and new keys are always larger than all existing keys.
 //
-// Three implementations are provided:
+// Two implementations are provided:
 //
 //   - AVL: a size-augmented AVL tree, the paper's "balanced binary tree with
 //     a node for each memory block ... sorting key is the logical time of the
 //     last access" (Section II). O(log M) per operation.
-//   - Fenwick: a binary indexed tree over a compacted time window with a
-//     timestamp-to-slot hash map, a classic alternative used by other
-//     reuse-distance tools. Amortized O(log M), but every operation hashes.
-//   - Epoch: the Fenwick idea without the hash map — slots are located
-//     arithmetically within the current affine run of consecutive
-//     timestamps, or by binary search in the compacted prefix. This is the
-//     engine default.
+//   - Epoch: a binary indexed tree over a compacted time window.
+//     Slots are located arithmetically within the current affine run of
+//     consecutive timestamps, or by binary search in the compacted prefix,
+//     so no operation hashes. This is the engine default.
 //
-// All satisfy Tree and are compared in the ablation benchmarks.
+// Both satisfy Tree and are compared in the ablation benchmarks.
 //
 // Every reuse asks the same three things in a row: count the keys newer
 // than the block's previous access time prev, remove prev, and insert the
-// current time now. Touch fuses them. AVL and Fenwick implement it as that
+// current time now. Touch fuses them. AVL implements it as that
 // composition. Epoch does it in one pass over its binary indexed tree: it
 // finds prev's slot once, sums the range (prev's slot, newest slot] with two
 // downward walks that stop where they meet, and applies the -1 at prev's
@@ -58,8 +55,6 @@ const (
 	KindEpoch Kind = iota
 	// KindAVL is the paper's size-augmented balanced binary tree.
 	KindAVL
-	// KindFenwick is the map-backed compacted binary indexed tree.
-	KindFenwick
 )
 
 // String names the kind for ablation tables.
@@ -69,8 +64,6 @@ func (k Kind) String() string {
 		return "epoch"
 	case KindAVL:
 		return "avl"
-	case KindFenwick:
-		return "fenwick"
 	}
 	return "unknown"
 }
@@ -82,12 +75,6 @@ func NewTree(k Kind, capHint int) Tree {
 	switch k {
 	case KindAVL:
 		return NewAVL(capHint)
-	case KindFenwick:
-		window := 1 << 16
-		if capHint > window/2 {
-			window = 2 * capHint
-		}
-		return NewFenwick(window)
 	default:
 		window := 1 << 12
 		if capHint > window/2 {

@@ -195,8 +195,6 @@ type FitOptions struct {
 	HierName string
 	// HistRes is the histogram resolution of the training runs.
 	HistRes int
-	// DistBins overrides the quantile-bin count (default DefaultDistBins).
-	DistBins int
 }
 
 // Fit builds a scaling model from the training runs. info must be the
@@ -233,14 +231,11 @@ func Fit(info *ir.Info, runs []*TrainingRun, opts FitOptions) (*Model, error) {
 		Program:       info.Prog.Name,
 		Hierarchy:     opts.HierName,
 		HistRes:       opts.HistRes,
-		DistBins:      opts.DistBins,
+		DistBins:      DefaultDistBins,
 		Params:        specs,
 		Runs:          len(runs),
 		Sampled:       sampled,
 		Approx:        approx,
-	}
-	if m.DistBins <= 0 {
-		m.DistBins = DefaultDistBins
 	}
 
 	for gi, g := range runs[0].Grans {

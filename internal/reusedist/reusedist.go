@@ -131,8 +131,9 @@ type Config struct {
 	HistRes int
 	// Tree selects the order-statistic structure. The zero value is
 	// ostree.KindEpoch, the map-free epoch-compacted binary indexed tree;
-	// KindAVL (the paper's structure) and KindFenwick remain available for
-	// ablation. All three are exact, so the choice never changes results.
+	// KindAVL (the paper's structure) remains available for ablation and
+	// as the test oracle. Both are exact, so the choice never changes
+	// results.
 	Tree ostree.Kind
 	// Hints presizes the engine's data structures; zero values mean
 	// unknown and never affect results, only allocation behaviour.
@@ -163,8 +164,8 @@ type CapacityHints struct {
 	Scopes int
 	// FootprintBytes is the total data footprint of the laid-out arrays;
 	// each engine derives its distinct-block estimate as
-	// FootprintBytes >> BlockBits, sizing the block table and the
-	// order-statistic tree window.
+	// FootprintBytes >> BlockBits, capped at maxHintBlocks, sizing the
+	// block table and the order-statistic tree window.
 	FootprintBytes uint64
 }
 
@@ -214,6 +215,14 @@ type Engine struct {
 	finished  bool
 }
 
+// maxHintBlocks caps the distinct-block estimate New derives from
+// Hints.FootprintBytes. The hint only presizes the block table and the
+// tree window, which both grow on demand, so a footprint far beyond
+// memory (a huge parameter binding) must not be preallocated. The cap
+// sits above every hint the benchmark's operations produce (the largest
+// is 118200 blocks), so none of them allocates differently.
+const maxHintBlocks = 1 << 19
+
 // patScanMax bounds the linear scan of RefData.pats; beyond it the pattern
 // lookup falls back to the canonical map.
 const patScanMax = 16
@@ -232,10 +241,7 @@ func New(cfg Config) *Engine {
 	if res == 0 {
 		res = histo.DefaultResolution
 	}
-	blocks := 0
-	if cfg.Hints.FootprintBytes > 0 {
-		blocks = int(cfg.Hints.FootprintBytes >> cfg.BlockBits)
-	}
+	blocks := int(min(cfg.Hints.FootprintBytes>>cfg.BlockBits, maxHintBlocks))
 	// A sampling engine only ever admits ~1/R of the footprint (and at
 	// most the adaptive cap), so size the block table and tree window
 	// from the admitted estimate, not the full footprint.

@@ -2,6 +2,7 @@ package reusedist
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -267,11 +268,34 @@ func patternsEqual(t *testing.T, a, b *RefData) bool {
 	return true
 }
 
+// TestHugeFootprintHintIsCapped builds a collector whose footprint hint
+// is far beyond any machine's memory, as a huge parameter binding
+// produces. The hint only presizes structures that grow on demand, so
+// construction must allocate a bounded amount rather than die.
+func TestHugeFootprintHintIsCapped(t *testing.T) {
+	grans := []Granularity{
+		{Name: "block64", BlockBits: 6},
+		{Name: "block128", BlockBits: 7},
+		{Name: "block4096", BlockBits: 12},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	col := NewCollectorWith(grans, Config{Hints: CapacityHints{FootprintBytes: 1 << 50}})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(col)
+	// Per engine: the tree window holds 2*maxHintBlocks slots of 13 bytes
+	// (BIT counter, slot time, live flag), well under 32 bytes a block.
+	bound := uint64(len(grans)) * 32 * maxHintBlocks
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("collector allocated %d bytes up front, want at most %d", got, bound)
+	}
+}
+
 // TestEngineMatchesNaive is the central differential test: the O(log M)
 // engine must agree exactly with the O(N·M) reference implementation,
 // pattern by pattern, for every tree implementation.
 func TestEngineMatchesNaive(t *testing.T) {
-	for _, kind := range []ostree.Kind{ostree.KindEpoch, ostree.KindAVL, ostree.KindFenwick} {
+	for _, kind := range []ostree.Kind{ostree.KindEpoch, ostree.KindAVL} {
 		f := func(seed int64) bool {
 			thresholds := []uint64{4, 16, 64}
 			e := New(Config{BlockBits: 6, Thresholds: thresholds, Tree: kind})
@@ -357,9 +381,8 @@ func TestTotalsConsistency(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineEpoch(b *testing.B)   { benchEngine(b, ostree.KindEpoch) }
-func BenchmarkEngineAVL(b *testing.B)     { benchEngine(b, ostree.KindAVL) }
-func BenchmarkEngineFenwick(b *testing.B) { benchEngine(b, ostree.KindFenwick) }
+func BenchmarkEngineEpoch(b *testing.B) { benchEngine(b, ostree.KindEpoch) }
+func BenchmarkEngineAVL(b *testing.B)   { benchEngine(b, ostree.KindAVL) }
 
 func benchEngine(b *testing.B, kind ostree.Kind) {
 	e := New(Config{BlockBits: 7, Thresholds: []uint64{2048, 12288}, Tree: kind})
