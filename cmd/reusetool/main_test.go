@@ -291,39 +291,24 @@ func TestRunCheckJSON(t *testing.T) {
 	}
 }
 
-// TestRunCheckFindings: a program with an unused parameter and a
-// provably empty loop exits 1 with file:line diagnostics.
+// TestRunCheckFindings: a program with one instance of each
+// dependence-level defect (unused parameter, provably empty loop,
+// out-of-bounds subscript, uninitialized data array) exits 1 with
+// file:line diagnostics, pinned byte-exactly.
 func TestRunCheckFindings(t *testing.T) {
-	src := `program bad
-param N 8
-param unused 3
-array A f64 [N]
-
-routine main file bad.f line 1 {
-  for i = 0 .. N-1 line 2 {
-    access A[i]
-  }
-  for j = 5 .. 2 line 5 {
-    access A[j]
-  }
-}
-`
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.loop")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join("testdata", "check", "findings.loop")
 	var out, errw bytes.Buffer
 	code := runCheck(&out, &errw, []string{path}, "", "", nil, checkConfig{})
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\n%s%s", code, out.String(), errw.String())
 	}
 	got := out.String()
-	for _, want := range []string{"unused-param", `"unused"`, "empty-loop", path + ":"} {
+	for _, want := range []string{"unused-param", `"unused"`, "empty-loop", "oob", "uninit-data", path + ":"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
+	checkGolden(t, "findings", []string{path}, "")
 }
 
 // TestRunCheckParseError: a malformed file exits 2.
