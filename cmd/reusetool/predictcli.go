@@ -159,7 +159,7 @@ func runFitPredict(ctx context.Context, out, errw io.Writer, cfg fitCLI) int {
 		fmt.Fprintln(errw, err)
 		return 2
 	}
-	hier, err := hierFor(m.Hierarchy)
+	hier, err := cache.ByName(m.Hierarchy)
 	if err != nil {
 		fmt.Fprintln(errw, err)
 		return 1
@@ -227,20 +227,6 @@ func fitFromRuns(ctx context.Context, errw io.Writer, cfg fitCLI) (*predict.Mode
 		return nil, 1
 	}
 	return m, 0
-}
-
-// hierFor maps a model's hierarchy name back to the machine model (the
-// same names the v1 API uses).
-func hierFor(name string) (*cache.Hierarchy, error) {
-	switch name {
-	case "", "scaled":
-		return cache.ScaledItanium2(), nil
-	case "full":
-		return cache.Itanium2(), nil
-	case "opteron":
-		return cache.Opteron(), nil
-	}
-	return nil, fmt.Errorf("unknown hierarchy %q in model", name)
 }
 
 // runRemoteFitPredict submits -fit/-predict to a daemon or coordinator.

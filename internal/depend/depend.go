@@ -18,12 +18,14 @@
 // feasible there.
 //
 // Two consumers sit on top: legality.go answers "is this Table I
-// transformation legal here?" for internal/advise, and check.go turns
-// the same machinery into the reusetool -check static checker.
+// transformation legal here?" for internal/advise, and
+// internal/reusecheck reads the same facts (Loop, Extent, the shared
+// Range domain) for the reusetool -check static checker.
 package depend
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -218,6 +220,90 @@ func (a *Analysis) Covers(r1, r2 trace.RefID) bool {
 	return d != nil && (d.Unknown || len(d.Vectors) > 0)
 }
 
+// LoopFact is the analyzer's read-only view of one loop: its routine,
+// its bounds with Let bindings substituted, its constant step, and
+// whether it is provably zero-trip over the parameters and the
+// enclosing loops' ranges.
+type LoopFact struct {
+	Routine *ir.Routine
+	Lo, Hi  ir.Expr
+	Step    int64
+	Empty   bool
+}
+
+// Loop returns the facts for one loop of the analyzed program.
+func (a *Analysis) Loop(l *ir.Loop) LoopFact {
+	li := a.loops[l]
+	return LoopFact{Routine: li.routine, Lo: li.lo, Hi: li.hi, Step: li.step, Empty: li.empty}
+}
+
+// Extent returns the exact [lo,hi] that subscript d of a reference
+// attains. ok is false unless the reference is unguarded, every loop
+// around it has parameter-constant bounds and provably executes, and
+// the subscript is affine in those loops and the parameters: only then
+// is the interval attained rather than merely bounded.
+func (a *Analysis) Extent(id trace.RefID, d int) (lo, hi int64, ok bool) {
+	ri := a.refs[id]
+	if ri.guarded || !a.rectangularNest(ri.loops) {
+		return 0, 0, false
+	}
+	form := symbolic.Analyze(ri.subs[d])
+	if form.HasNonAffine() || form.HasIndirect() {
+		return 0, 0, false
+	}
+	return a.affineExtent(form, ri.loops)
+}
+
+// rectangularNest reports whether every loop of a nest has constant
+// bounds (given the parameters) and provably executes.
+func (a *Analysis) rectangularNest(nest []*ir.Loop) bool {
+	for _, l := range nest {
+		li := a.loops[l]
+		if li.guarded {
+			return false
+		}
+		lo, ok1 := Eval(li.lo, a.paramResolver()).Const()
+		hi, ok2 := Eval(li.hi, a.paramResolver()).Const()
+		if !ok1 || !ok2 {
+			return false
+		}
+		if li.step > 0 && hi < lo {
+			return false
+		}
+		if li.step < 0 && hi > lo {
+			return false
+		}
+	}
+	return true
+}
+
+// affineExtent computes the exact attained [min,max] of an affine
+// subscript form over a rectangular nest. Every variable must resolve
+// to a constant-bounded loop of the nest or a parameter.
+func (a *Analysis) affineExtent(form symbolic.Form, nest []*ir.Loop) (lo, hi int64, ok bool) {
+	lo, hi = form.Const, form.Const
+	for name, coeff := range form.Coeff {
+		if coeff == 0 {
+			continue
+		}
+		var r Range
+		if l := findLoop(nest, name); l != nil {
+			r = a.loops[l].rng
+		} else if v, okp := a.Params[name]; okp {
+			r = Point(v)
+		} else {
+			return 0, 0, false
+		}
+		if !r.Bounded() {
+			return 0, 0, false
+		}
+		c := scaleRange(r, coeff)
+		lo += c.Lo
+		hi += c.Hi
+	}
+	return lo, hi, true
+}
+
 // walk collects refInfo/loopInfo for one routine. env carries Let
 // bindings that are still valid at the current program point; bindings
 // that a nested body may rebind are dropped conservatively, so a
@@ -226,13 +312,13 @@ func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env ma
 	for _, s := range body {
 		switch st := s.(type) {
 		case *ir.Loop:
-			lo := substExpr(st.Lo, env)
-			hi := substExpr(st.Hi, env)
+			lo := ir.Subst(st.Lo, env)
+			hi := ir.Subst(st.Hi, env)
 			step := int64(st.Step.(ir.Const))
 			li := &loopInfo{loop: st, routine: rt, lo: lo, hi: hi, step: step, guarded: guarded}
 			res := a.resolver(loops)
-			loR := evalRange(lo, res)
-			hiR := evalRange(hi, res)
+			loR := Eval(lo, res)
+			hiR := Eval(hi, res)
 			if step > 0 {
 				li.rng = Range{Lo: loR.Lo, LoOK: loR.LoOK, Hi: hiR.Hi, HiOK: hiR.HiOK}
 				li.empty = loR.LoOK && hiR.HiOK && hiR.Hi < loR.Lo
@@ -240,7 +326,7 @@ func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env ma
 				li.rng = Range{Lo: hiR.Lo, LoOK: hiR.LoOK, Hi: loR.Hi, HiOK: loR.HiOK}
 				li.empty = loR.HiOK && hiR.LoOK && hiR.Lo > loR.Hi
 			}
-			li.loConst, li.loConstOK = evalRange(lo, a.paramResolver()).Const()
+			li.loConst, li.loConstOK = Eval(lo, a.paramResolver()).Const()
 			a.loops[st] = li
 			// Bindings rebound inside the body change across
 			// iterations; drop them (and the loop variable's own
@@ -254,8 +340,8 @@ func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env ma
 			a.walk(rt, st.Body, append(loops, st), env, guarded)
 			delete(env, st.Var.Name)
 		case *ir.Let:
-			e := substExpr(st.E, env)
-			if usesVar(e, st.Var.Name) {
+			e := ir.Subst(st.E, env)
+			if ir.Mentions(e, st.Var.Name) {
 				// Self-referential rebinding (accumulator): opaque
 				// from here on.
 				delete(env, st.Var.Name)
@@ -269,8 +355,8 @@ func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env ma
 			killed := map[string]bool{}
 			letTargets(st.Then, killed)
 			letTargets(st.Else, killed)
-			a.walk(rt, st.Then, loops, copyEnv(env), true)
-			a.walk(rt, st.Else, loops, copyEnv(env), true)
+			a.walk(rt, st.Then, loops, maps.Clone(env), true)
+			a.walk(rt, st.Else, loops, maps.Clone(env), true)
 			for name := range killed {
 				delete(env, name)
 			}
@@ -278,7 +364,7 @@ func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env ma
 			for _, ref := range st.Refs {
 				subs := make([]ir.Expr, len(ref.Index))
 				for i, e := range ref.Index {
-					subs[i] = substExpr(e, env)
+					subs[i] = ir.Subst(e, env)
 				}
 				a.refs[ref.ID()] = &refInfo{
 					ref:     ref,
@@ -310,57 +396,6 @@ func letTargets(body []ir.Stmt, out map[string]bool) {
 	}
 }
 
-func copyEnv(env map[string]ir.Expr) map[string]ir.Expr {
-	out := make(map[string]ir.Expr, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
-}
-
-// substExpr replaces Let-bound variables by their (already
-// substituted) definitions.
-func substExpr(e ir.Expr, env map[string]ir.Expr) ir.Expr {
-	if len(env) == 0 {
-		return e
-	}
-	switch x := e.(type) {
-	case *ir.Var:
-		if b, ok := env[x.Name]; ok {
-			return b
-		}
-	case *ir.Bin:
-		l := substExpr(x.L, env)
-		r := substExpr(x.R, env)
-		if l != x.L || r != x.R {
-			return &ir.Bin{Op: x.Op, L: l, R: r, Line: x.Line}
-		}
-	case *ir.Load:
-		changed := false
-		idx := make([]ir.Expr, len(x.Index))
-		for i, sub := range x.Index {
-			idx[i] = substExpr(sub, env)
-			if idx[i] != sub {
-				changed = true
-			}
-		}
-		if changed {
-			return &ir.Load{Array: x.Array, Index: idx, Line: x.Line}
-		}
-	}
-	return e
-}
-
-func usesVar(e ir.Expr, name string) bool {
-	found := false
-	ir.WalkExpr(e, func(x ir.Expr) {
-		if v, ok := x.(*ir.Var); ok && v.Name == name {
-			found = true
-		}
-	})
-	return found
-}
-
 // resolver resolves variable ranges in the context of a loop nest:
 // loop variables (innermost shadowing outermost) first, then
 // parameters; anything else is unbounded.
@@ -372,18 +407,18 @@ func (a *Analysis) resolver(loops []*ir.Loop) func(string) Range {
 			}
 		}
 		if v, ok := a.Params[name]; ok {
-			return point(v)
+			return Point(v)
 		}
-		return unbounded()
+		return Range{}
 	}
 }
 
 func (a *Analysis) paramResolver() func(string) Range {
 	return func(name string) Range {
 		if v, ok := a.Params[name]; ok {
-			return point(v)
+			return Point(v)
 		}
-		return unbounded()
+		return Range{}
 	}
 }
 
@@ -832,7 +867,7 @@ func (a *Analysis) gcdUnsat(e eqn, slots []slotInfo) bool {
 // eqnFeasible checks whether the equation can be zero under the given
 // hard directions, by exact interval bounds on each term.
 func (a *Analysis) eqnFeasible(e eqn, slots []slotInfo, dirs []Dir) bool {
-	total := point(e.c)
+	total := Point(e.c)
 	for _, t := range e.pairs {
 		contrib, ok := pairContrib(t.ca, t.cb, slots[t.slot], dirs[t.slot])
 		if !ok {
@@ -870,7 +905,7 @@ func pairContrib(ca, cb int64, s slotInfo, dir Dir) (contrib Range, ok bool) {
 		inter.LoOK = s.ra.LoOK || s.rb.LoOK
 		switch {
 		case s.ra.LoOK && s.rb.LoOK:
-			inter.Lo = max64(s.ra.Lo, s.rb.Lo)
+			inter.Lo = max(s.ra.Lo, s.rb.Lo)
 		case s.ra.LoOK:
 			inter.Lo = s.ra.Lo
 		case s.rb.LoOK:
@@ -879,7 +914,7 @@ func pairContrib(ca, cb int64, s slotInfo, dir Dir) (contrib Range, ok bool) {
 		inter.HiOK = s.ra.HiOK || s.rb.HiOK
 		switch {
 		case s.ra.HiOK && s.rb.HiOK:
-			inter.Hi = min64(s.ra.Hi, s.rb.Hi)
+			inter.Hi = min(s.ra.Hi, s.rb.Hi)
 		case s.ra.HiOK:
 			inter.Hi = s.ra.Hi
 		case s.rb.HiOK:
@@ -1024,11 +1059,4 @@ func sign64(v int64) int64 {
 		return -1
 	}
 	return 0
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,9 +2,12 @@ package depend
 
 import "reusetool/internal/ir"
 
-// Range is a conservative integer interval. Each bound is only
-// meaningful when its OK flag is set; a missing flag means the value is
-// unbounded on that side. Unless stated otherwise, operations
+// Range is a conservative integer interval, the one interval domain of
+// the static checker: the dependence analyzer bounds loop variables
+// with it and internal/reusecheck runs its abstract interpreter on it.
+// Each bound is only meaningful when its OK flag is set; a missing flag
+// means the value is unbounded on that side, so the zero Range is the
+// fully unbounded interval. Unless stated otherwise, operations
 // over-approximate: the true value set is always contained in the
 // result.
 type Range struct {
@@ -12,11 +15,16 @@ type Range struct {
 	LoOK, HiOK bool
 }
 
-func point(v int64) Range { return Range{Lo: v, Hi: v, LoOK: true, HiOK: true} }
-func unbounded() Range    { return Range{} }
+// Point is the singleton interval [v,v].
+func Point(v int64) Range { return Range{Lo: v, Hi: v, LoOK: true, HiOK: true} }
+
+// Const reports the single value of a singleton interval.
 func (r Range) Const() (int64, bool) {
 	return r.Lo, r.LoOK && r.HiOK && r.Lo == r.Hi
 }
+
+// Bounded reports whether both endpoints are present.
+func (r Range) Bounded() bool { return r.LoOK && r.HiOK }
 
 func addRange(a, b Range) Range {
 	return Range{
@@ -35,7 +43,7 @@ func subRange(a, b Range) Range { return addRange(a, negRange(b)) }
 func scaleRange(a Range, k int64) Range {
 	switch {
 	case k == 0:
-		return point(0)
+		return Point(0)
 	case k > 0:
 		return Range{Lo: a.Lo * k, LoOK: a.LoOK, Hi: a.Hi * k, HiOK: a.HiOK}
 	}
@@ -49,26 +57,21 @@ func mulRange(a, b Range) Range {
 	if v, ok := b.Const(); ok {
 		return scaleRange(a, v)
 	}
-	if a.LoOK && a.HiOK && b.LoOK && b.HiOK {
-		p := []int64{a.Lo * b.Lo, a.Lo * b.Hi, a.Hi * b.Lo, a.Hi * b.Hi}
-		out := point(p[0])
-		for _, v := range p[1:] {
-			if v < out.Lo {
-				out.Lo = v
-			}
-			if v > out.Hi {
-				out.Hi = v
-			}
-		}
-		return out
+	if !a.Bounded() || !b.Bounded() {
+		return Range{}
 	}
-	return unbounded()
+	out := Point(a.Lo * b.Lo)
+	for _, v := range [3]int64{a.Lo * b.Hi, a.Hi * b.Lo, a.Hi * b.Hi} {
+		out.Lo = min(out.Lo, v)
+		out.Hi = max(out.Hi, v)
+	}
+	return out
 }
 
 func divRange(a, b Range) Range {
 	d, ok := b.Const()
 	if !ok || d == 0 {
-		return unbounded()
+		return Range{}
 	}
 	// Go's truncated division is monotone in the numerator for a fixed
 	// divisor sign.
@@ -78,20 +81,23 @@ func divRange(a, b Range) Range {
 	return Range{Lo: a.Hi / d, LoOK: a.HiOK, Hi: a.Lo / d, HiOK: a.LoOK}
 }
 
+// modRange bounds a modulo by a constant. The result's sign follows
+// the dividend (Go's truncated %) and only the modulus's magnitude
+// matters; a non-negative dividend already below the modulus comes
+// back exact.
 func modRange(a, b Range) Range {
 	m, ok := b.Const()
 	if !ok || m == 0 {
-		return unbounded()
+		return Range{}
 	}
 	if m < 0 {
 		m = -m
 	}
 	if a.LoOK && a.Lo >= 0 {
-		hi := m - 1
-		if a.HiOK && a.Hi < hi {
-			hi = a.Hi
+		if a.HiOK && a.Hi < m {
+			return a
 		}
-		return Range{Lo: 0, LoOK: true, Hi: hi, HiOK: true}
+		return Range{Lo: 0, LoOK: true, Hi: m - 1, HiOK: true}
 	}
 	return Range{Lo: -(m - 1), LoOK: true, Hi: m - 1, HiOK: true}
 }
@@ -100,13 +106,13 @@ func minRange(a, b Range) Range {
 	out := Range{}
 	if a.LoOK && b.LoOK {
 		out.LoOK = true
-		out.Lo = min64(a.Lo, b.Lo)
+		out.Lo = min(a.Lo, b.Lo)
 	}
 	// min(x,y) <= x, so either upper bound alone caps the result.
 	switch {
 	case a.HiOK && b.HiOK:
 		out.HiOK = true
-		out.Hi = min64(a.Hi, b.Hi)
+		out.Hi = min(a.Hi, b.Hi)
 	case a.HiOK:
 		out.HiOK = true
 		out.Hi = a.Hi
@@ -121,24 +127,17 @@ func maxRange(a, b Range) Range {
 	return negRange(minRange(negRange(a), negRange(b)))
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// evalRange bounds an expression's value given a variable resolver.
+// Eval bounds an expression's value given a variable resolver.
 // Unresolvable variables and Loads yield unbounded results.
-func evalRange(e ir.Expr, resolve func(name string) Range) Range {
+func Eval(e ir.Expr, resolve func(name string) Range) Range {
 	switch x := e.(type) {
 	case ir.Const:
-		return point(int64(x))
+		return Point(int64(x))
 	case *ir.Var:
 		return resolve(x.Name)
 	case *ir.Bin:
-		l := evalRange(x.L, resolve)
-		r := evalRange(x.R, resolve)
+		l := Eval(x.L, resolve)
+		r := Eval(x.R, resolve)
 		switch x.Op {
 		case ir.OpAdd:
 			return addRange(l, r)
@@ -156,5 +155,5 @@ func evalRange(e ir.Expr, resolve func(name string) Range) Range {
 			return maxRange(l, r)
 		}
 	}
-	return unbounded()
+	return Range{}
 }

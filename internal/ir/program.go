@@ -259,6 +259,50 @@ func WalkExpr(e Expr, f func(Expr)) {
 	}
 }
 
+// Subst replaces variables bound in env by their expressions. Nodes
+// with nothing substituted below them are shared, not copied.
+func Subst(e Expr, env map[string]Expr) Expr {
+	if len(env) == 0 {
+		return e
+	}
+	switch x := e.(type) {
+	case *Var:
+		if b, ok := env[x.Name]; ok {
+			return b
+		}
+	case *Bin:
+		l := Subst(x.L, env)
+		r := Subst(x.R, env)
+		if l != x.L || r != x.R {
+			return &Bin{Op: x.Op, L: l, R: r, Line: x.Line}
+		}
+	case *Load:
+		changed := false
+		idx := make([]Expr, len(x.Index))
+		for i, sub := range x.Index {
+			idx[i] = Subst(sub, env)
+			if idx[i] != sub {
+				changed = true
+			}
+		}
+		if changed {
+			return &Load{Array: x.Array, Index: idx, Line: x.Line}
+		}
+	}
+	return e
+}
+
+// Mentions reports whether e reads the named variable.
+func Mentions(e Expr, name string) bool {
+	found := false
+	WalkExpr(e, func(x Expr) {
+		if v, ok := x.(*Var); ok && v.Name == name {
+			found = true
+		}
+	})
+	return found
+}
+
 // Slot returns the interpreter frame slot of v (valid after Finalize).
 func (v *Var) Slot() int { return v.slot }
 

@@ -74,6 +74,9 @@ func FuzzParseRoundTrip(f *testing.F) {
 	f.Add("program p\nmain {\n}\n")
 	f.Add("program p\nparam N = 4\narray A[N] elem 8\nmain {\n  loop i = 0..N-1 {\n    load A[i]\n  }\n}\n")
 	f.Add("program p\nmain {\n  loop i = 0..")
+	// Constant division and modulo by zero must be parse errors.
+	f.Add("program p\narray A f64 [4]\nroutine main {\n  access A[1 % 0]\n}\n")
+	f.Add("program p\narray A f64 [4]\nroutine main {\n  access A[1 / 0]\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		roundTrip(t, src)
 	})

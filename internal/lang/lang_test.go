@@ -146,6 +146,8 @@ func TestParseErrors(t *testing.T) {
 		{"non-data index", "program p\narray A f64 [4]\narray B f64 [4]\nroutine main { for i = 0 .. 3 { access B[A[i]] } }", "must be a dataarray"},
 		{"bad cmp", "program p\nroutine main { if 1 = 2 { } }", "comparison"},
 		{"bad char", "program p\nroutine main { access @ }", "unexpected character"},
+		{"constant division by zero", "program p\narray A f64 [4]\nroutine main {\n  access A[1 / 0]\n}", "<input>:4: constant division by zero"},
+		{"constant modulo by zero", "program p\narray A f64 [4]\nroutine main {\n  access A[(3 - 1) % (2 - 2)]\n}", "<input>:4: constant modulo by zero"},
 	}
 	for _, c := range cases {
 		_, _, err := Parse(c.src)

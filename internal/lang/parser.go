@@ -18,7 +18,7 @@ func Parse(src string) (*ir.Program, func(*interp.Machine) error, error) {
 
 // FileMeta is source-level information ParseFile collects beyond the IR:
 // which data arrays an init declaration covers and where each parameter
-// was declared. The static checker (internal/depend.Check) consumes it.
+// was declared. The static checker (internal/reusecheck) consumes it.
 type FileMeta struct {
 	// Inited marks data arrays covered by an init declaration.
 	Inited map[*ir.Array]bool
@@ -557,29 +557,29 @@ func (p *parser) term() (ir.Expr, error) {
 		return nil, err
 	}
 	for {
-		ln := p.peek().line
-		switch {
-		case p.accept("*"):
-			r, err := p.factor()
-			if err != nil {
-				return nil, err
-			}
-			l = at(ir.Mul(l, r), ln)
-		case p.accept("/"):
-			r, err := p.factor()
-			if err != nil {
-				return nil, err
-			}
-			l = at(ir.Div(l, r), ln)
-		case p.accept("%"):
-			r, err := p.factor()
-			if err != nil {
-				return nil, err
-			}
-			l = at(ir.Mod(l, r), ln)
+		t := p.peek()
+		var op func(l, r ir.Expr) ir.Expr
+		switch t.text {
+		case "*":
+			op = ir.Mul
+		case "/":
+			op = ir.Div
+		case "%":
+			op = ir.Mod
 		default:
 			return l, nil
 		}
+		p.next()
+		r, err := p.factor()
+		if err != nil {
+			return nil, err
+		}
+		// ir folds constant operands and panics on a zero divisor; in
+		// source text that is an input error, not a program bug.
+		if _, lc := l.(ir.Const); lc && r == ir.C(0) && t.text != "*" {
+			return nil, p.errf(t, "constant %s by zero", map[string]string{"/": "division", "%": "modulo"}[t.text])
+		}
+		l = at(op(l, r), t.line)
 	}
 }
 

@@ -65,15 +65,14 @@ func buildMissModel(info *ir.Info, opts Options) missModel {
 // and layout-mismatched access orders. Each diagnostic carries the
 // predicted miss reduction and the legality verdict of the fixing
 // transformation.
-func opportunities(info *ir.Info, w *walker, opts Options, params map[string]int64,
+func opportunities(info *ir.Info, w *walker, deps *depend.Analysis, opts Options,
 	fileOf func(*ir.Routine) string) []Diagnostic {
 
-	mach, err := interp.Layout(info, params)
+	mach, err := interp.Layout(info, deps.Params)
 	if err != nil {
 		return nil // no layout, no address forms: defects-only degraded mode
 	}
 	model := buildMissModel(info, opts)
-	deps := depend.Analyze(info, opts.Params)
 
 	strideCache := map[*ir.Array][]int64{}
 	stridesOf := func(a *ir.Array) []int64 {
@@ -127,7 +126,7 @@ func invariantLoad(w *walker, model missModel, deps *depend.Analysis, fact *refF
 	if fact.ref.Write || inner.Class != symbolic.StrideZero {
 		return Diagnostic{}, false
 	}
-	if !w.loops[innermost].trips2 {
+	if !w.trips2[innermost] {
 		return Diagnostic{}, false // a one-trip loop gains nothing
 	}
 	legality, note := hoistVerdict(deps, fact.ref, innermost)
@@ -201,7 +200,7 @@ func redundantRegion(w *walker, model missModel, deps *depend.Analysis, fact *re
 			continue
 		}
 		carrier := fact.nest[i]
-		if !w.loops[carrier].trips2 {
+		if !w.trips2[carrier] {
 			continue
 		}
 		moving := false

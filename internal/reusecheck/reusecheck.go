@@ -17,9 +17,14 @@
 //	                 nest loop walks a small one (opportunity)
 //	bounds-proved    every subscript is provably within the array extent
 //	                 (note)
+//	oob              a subscript provably leaves the array extent (defect)
+//	uninit-data      a data array is read through load but never written
+//	                 or initialized (defect)
+//	unused-param     a declared parameter is never mentioned (defect)
+//	empty-loop       a loop provably never executes (defect)
 //
-// plus everything internal/depend.Check reports (oob, uninit-data,
-// unused-param, empty-loop — all defects).
+// The last four read the facts of one internal/depend analysis, which
+// the opportunity suite shares; the interval domain is depend.Range.
 //
 // Every opportunity is ranked by the predicted miss reduction obtained
 // from internal/staticreuse + internal/metrics at one cache level, and
@@ -147,10 +152,10 @@ type Options struct {
 	HistRes int
 }
 
-// Check runs every static check on a finalized program: the dependence
-// checker's defect suite, the abstract-interpretation defect suite
-// (dead stores, dead guards), the ranked opportunity suite, and the
-// provable-bounds notes. The result is deduplicated and sorted by
+// Check runs every static check on a finalized program: the
+// dependence-level defect suite (defect.go), the
+// abstract-interpretation defect suite (dead stores, dead guards), the
+// ranked opportunity suite, and the provable-bounds notes. The result is deduplicated and sorted by
 // file:line:code:msg, so repeated runs are byte-reproducible.
 func Check(info *ir.Info, opts Options) []Diagnostic {
 	if opts.Hier == nil {
@@ -160,13 +165,7 @@ func Check(info *ir.Info, opts Options) []Diagnostic {
 		opts.Level = "L2"
 	}
 
-	params := map[string]int64{}
-	for k, v := range info.Prog.Defaults {
-		params[k] = v
-	}
-	for k, v := range opts.Params {
-		params[k] = v
-	}
+	deps := depend.Analyze(info, opts.Params)
 
 	fallback := opts.File
 	if fallback == "" && info.Prog.Main != nil {
@@ -179,26 +178,9 @@ func Check(info *ir.Info, opts Options) []Diagnostic {
 		return fallback
 	}
 
-	var out []Diagnostic
-	for _, d := range depend.Check(info, depend.CheckOptions{
-		Params:            opts.Params,
-		Initialized:       opts.Initialized,
-		AssumeInitialized: opts.AssumeInitialized,
-		ParamLines:        opts.ParamLines,
-		File:              opts.File,
-	}) {
-		out = append(out, Diagnostic{
-			File:     d.File,
-			Line:     d.Line,
-			Code:     d.Code,
-			Severity: SevDefect,
-			Msg:      d.Msg,
-		})
-	}
-
-	w := newWalker(info, params, fileOf)
+	w := newWalker(info, deps.Params, fileOf)
 	w.run()
-	out = append(out, w.diags...)
+	out := append(defects(info, deps, w, opts, fileOf), w.diags...)
 
 	// Provable-bounds notes.
 	for _, fact := range w.facts {
@@ -214,7 +196,7 @@ func Check(info *ir.Info, opts Options) []Diagnostic {
 		})
 	}
 
-	out = append(out, opportunities(info, w, opts, params, fileOf)...)
+	out = append(out, opportunities(info, w, deps, opts, fileOf)...)
 
 	return Sort(out)
 }

@@ -2,9 +2,11 @@ package reusecheck
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
+	"reusetool/internal/depend"
 	"reusetool/internal/ir"
 	"reusetool/internal/trace"
 )
@@ -22,49 +24,42 @@ type refFact struct {
 	inBounds bool       // every subscript provably within the extent
 }
 
-// loopFact caches per-loop interval facts.
-type loopFact struct {
-	rng    Ival // value range of the loop variable
-	empty  bool // provably zero-trip
-	trips2 bool // provably two or more iterations
-}
-
 // walker performs one abstract-interpretation pass over the structured
 // IR. It carries two environments in parallel: an interval environment
 // (the abstract value of every parameter, loop variable, and Let
 // binding) and an exact substitution environment for symbolic region
-// keys, maintained exactly as internal/depend does. Loop bodies widen
-// by havoc: any Let target bound inside a loop body jumps to top at
-// loop entry, which is the one-step widening that makes the pass a
-// fixpoint in a single sweep.
+// keys, maintained with ir.Subst exactly as internal/depend does. Loop
+// bodies widen by havoc: any Let target bound inside a loop body jumps
+// to top at loop entry, which is the one-step widening that makes the
+// pass a fixpoint in a single sweep.
 type walker struct {
 	info   *ir.Info
-	params map[string]int64
+	params map[string]depend.Range // every parameter as a point
 	fileOf func(*ir.Routine) string
 
-	facts []*refFact // indexed by trace.RefID
-	loops map[*ir.Loop]loopFact
-	diags []Diagnostic
+	facts  []*refFact        // indexed by trace.RefID
+	trips2 map[*ir.Loop]bool // every walked loop: provably two or more iterations
+	diags  []Diagnostic
 }
 
 func newWalker(info *ir.Info, params map[string]int64, fileOf func(*ir.Routine) string) *walker {
+	env := make(map[string]depend.Range, len(params))
+	for name, v := range params {
+		env[name] = depend.Point(v)
+	}
 	return &walker{
 		info:   info,
-		params: params,
+		params: env,
 		fileOf: fileOf,
 		facts:  make([]*refFact, len(info.Refs)),
-		loops:  map[*ir.Loop]loopFact{},
+		trips2: map[*ir.Loop]bool{},
 	}
 }
 
 func (w *walker) run() {
 	for _, rt := range w.info.Prog.Routines {
-		env := make(map[string]Ival, len(w.params))
-		for name, v := range w.params {
-			env[name] = point(v)
-		}
 		pend := newPending()
-		w.walkBody(rt, rt.Body, nil, env, map[string]ir.Expr{}, false, false, pend)
+		w.walkBody(rt, rt.Body, nil, maps.Clone(w.params), map[string]ir.Expr{}, false, false, pend)
 	}
 }
 
@@ -115,15 +110,15 @@ func regionKey(subs []ir.Expr) string {
 }
 
 func (w *walker) walkBody(rt *ir.Routine, body []ir.Stmt, nest []*ir.Loop,
-	env map[string]Ival, sub map[string]ir.Expr, guarded, dead bool, pend *pending) {
+	env map[string]depend.Range, sub map[string]ir.Expr, guarded, dead bool, pend *pending) {
 
 	for _, s := range body {
 		switch st := s.(type) {
 		case *ir.Let:
 			w.killExprReads(pend, st.E)
-			env[st.Var.Name] = evalIval(st.E, env)
-			e := substExpr(st.E, sub)
-			if mentionsVar(e, st.Var.Name) {
+			env[st.Var.Name] = eval(st.E, env)
+			e := ir.Subst(st.E, sub)
+			if ir.Mentions(e, st.Var.Name) {
 				delete(sub, st.Var.Name)
 			} else {
 				sub[st.Var.Name] = e
@@ -137,16 +132,16 @@ func (w *walker) walkBody(rt *ir.Routine, body []ir.Stmt, nest []*ir.Loop,
 		case *ir.If:
 			w.killExprReads(pend, st.Cond.L)
 			w.killExprReads(pend, st.Cond.R)
-			l := evalIval(st.Cond.L, env)
-			r := evalIval(st.Cond.R, env)
+			l := eval(st.Cond.L, env)
+			r := eval(st.Cond.R, env)
 			verdict := condDecide(st.Cond.Op, l, r)
 			if verdict != 0 && !dead {
 				w.reportDeadGuard(rt, st, verdict)
 			}
-			thenEnv := copyEnv(refine(env, st.Cond, false))
-			elseEnv := copyEnv(refine(env, st.Cond, true))
-			w.walkBody(rt, st.Then, nest, thenEnv, copySub(sub), true, dead || verdict < 0, newPending())
-			w.walkBody(rt, st.Else, nest, elseEnv, copySub(sub), true, dead || verdict > 0, newPending())
+			thenEnv := maps.Clone(refine(env, st.Cond, false))
+			elseEnv := maps.Clone(refine(env, st.Cond, true))
+			w.walkBody(rt, st.Then, nest, thenEnv, maps.Clone(sub), true, dead || verdict < 0, newPending())
+			w.walkBody(rt, st.Else, nest, elseEnv, maps.Clone(sub), true, dead || verdict > 0, newPending())
 			for arr := range bodyReads(st.Then) {
 				pend.killArray(arr)
 			}
@@ -181,34 +176,34 @@ func (w *walker) walkBody(rt *ir.Routine, body []ir.Stmt, nest []*ir.Loop,
 }
 
 func (w *walker) walkLoop(rt *ir.Routine, l *ir.Loop, nest []*ir.Loop,
-	env map[string]Ival, sub map[string]ir.Expr, guarded, dead bool, pend *pending) {
+	env map[string]depend.Range, sub map[string]ir.Expr, guarded, dead bool, pend *pending) {
 
 	step := int64(l.Step.(ir.Const))
-	ivLo := evalIval(l.Lo, env)
-	ivHi := evalIval(l.Hi, env)
+	ivLo := eval(l.Lo, env)
+	ivHi := eval(l.Hi, env)
 
-	var rng Ival
+	var rng depend.Range
 	var empty, trips2 bool
 	if step > 0 {
-		rng = Ival{Lo: ivLo.Lo, LoOK: ivLo.LoOK, Hi: ivHi.Hi, HiOK: ivHi.HiOK}
+		rng = depend.Range{Lo: ivLo.Lo, LoOK: ivLo.LoOK, Hi: ivHi.Hi, HiOK: ivHi.HiOK}
 		empty = ivLo.LoOK && ivHi.HiOK && ivLo.Lo > ivHi.Hi
 		trips2 = ivLo.HiOK && ivHi.LoOK && ivHi.Lo >= ivLo.Hi+step
 	} else {
-		rng = Ival{Lo: ivHi.Lo, LoOK: ivHi.LoOK, Hi: ivLo.Hi, HiOK: ivLo.HiOK}
+		rng = depend.Range{Lo: ivHi.Lo, LoOK: ivHi.LoOK, Hi: ivLo.Hi, HiOK: ivLo.HiOK}
 		empty = ivLo.HiOK && ivHi.LoOK && ivLo.Hi < ivHi.Lo
 		trips2 = ivLo.LoOK && ivHi.HiOK && ivHi.Hi <= ivLo.Lo+step
 	}
-	w.loops[l] = loopFact{rng: rng, empty: empty, trips2: trips2}
+	w.trips2[l] = trips2
 
 	// Widen by havoc: Let targets the body rebinds are unknown at entry
 	// to any iteration after the first.
-	inner := copyEnv(env)
+	inner := maps.Clone(env)
 	for name := range letTargets(l.Body) {
-		inner[name] = top()
+		inner[name] = depend.Range{}
 	}
 	inner[l.Var.Name] = rng
 
-	innerSub := copySub(sub)
+	innerSub := maps.Clone(sub)
 	delete(innerSub, l.Var.Name)
 	for name := range letTargets(l.Body) {
 		delete(innerSub, name)
@@ -255,11 +250,11 @@ func (w *walker) walkLoop(rt *ir.Routine, l *ir.Loop, nest []*ir.Loop,
 
 // recordRef registers a reference fact and decides bounds provability.
 func (w *walker) recordRef(rt *ir.Routine, ref *ir.Ref, nest []*ir.Loop,
-	env map[string]Ival, sub map[string]ir.Expr, guarded, dead bool) {
+	env map[string]depend.Range, sub map[string]ir.Expr, guarded, dead bool) {
 
 	subs := make([]ir.Expr, len(ref.Index))
 	for i, idx := range ref.Index {
-		subs[i] = substExpr(idx, sub)
+		subs[i] = ir.Subst(idx, sub)
 	}
 	fact := &refFact{
 		ref:     ref,
@@ -272,8 +267,8 @@ func (w *walker) recordRef(rt *ir.Routine, ref *ir.Ref, nest []*ir.Loop,
 	if len(ref.Index) > 0 {
 		fact.inBounds = true
 		for d, idx := range ref.Index {
-			iv := evalIval(idx, env)
-			ext, ok := evalIval(ref.Array.Dims[d], envOfParams(w.params)).Const()
+			iv := eval(idx, env)
+			ext, ok := w.dimExtent(ref.Array, d)
 			if !ok || !iv.Bounded() || iv.Lo < 0 || iv.Hi > ext-1 {
 				fact.inBounds = false
 				break
@@ -281,6 +276,12 @@ func (w *walker) recordRef(rt *ir.Routine, ref *ir.Ref, nest []*ir.Loop,
 		}
 	}
 	w.facts[ref.ID()] = fact
+}
+
+// dimExtent evaluates the extent of one array dimension under the
+// parameters.
+func (w *walker) dimExtent(arr *ir.Array, d int) (int64, bool) {
+	return eval(arr.Dims[d], w.params).Const()
 }
 
 func (w *walker) reportDeadStore(rt *ir.Routine, prev, next *ir.Ref) {
@@ -465,81 +466,11 @@ func letTargets(body []ir.Stmt) map[string]bool {
 // subsInvariant reports whether no subscript mentions a variable.
 func subsInvariant(subs []ir.Expr, name string) bool {
 	for _, s := range subs {
-		if mentionsVar(s, name) {
+		if ir.Mentions(s, name) {
 			return false
 		}
 	}
 	return true
-}
-
-func mentionsVar(e ir.Expr, name string) bool {
-	found := false
-	ir.WalkExpr(e, func(x ir.Expr) {
-		if v, ok := x.(*ir.Var); ok && v.Name == name {
-			found = true
-		}
-	})
-	return found
-}
-
-// substExpr substitutes Let bindings into an expression, mirroring the
-// dependence analyzer's environment semantics.
-func substExpr(e ir.Expr, env map[string]ir.Expr) ir.Expr {
-	if len(env) == 0 {
-		return e
-	}
-	switch x := e.(type) {
-	case *ir.Var:
-		if b, ok := env[x.Name]; ok {
-			return b
-		}
-		return x
-	case *ir.Bin:
-		l := substExpr(x.L, env)
-		r := substExpr(x.R, env)
-		if l == x.L && r == x.R {
-			return x
-		}
-		return &ir.Bin{Op: x.Op, L: l, R: r, Line: x.Line}
-	case *ir.Load:
-		idx := make([]ir.Expr, len(x.Index))
-		changed := false
-		for i, s := range x.Index {
-			idx[i] = substExpr(s, env)
-			if idx[i] != s {
-				changed = true
-			}
-		}
-		if !changed {
-			return x
-		}
-		return &ir.Load{Array: x.Array, Index: idx, Line: x.Line}
-	}
-	return e
-}
-
-func copyEnv(env map[string]Ival) map[string]Ival {
-	out := make(map[string]Ival, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
-}
-
-func copySub(sub map[string]ir.Expr) map[string]ir.Expr {
-	out := make(map[string]ir.Expr, len(sub))
-	for k, v := range sub {
-		out[k] = v
-	}
-	return out
-}
-
-func envOfParams(params map[string]int64) map[string]Ival {
-	out := make(map[string]Ival, len(params))
-	for k, v := range params {
-		out[k] = point(v)
-	}
-	return out
 }
 
 // factByID is a typed accessor for detectors.

@@ -87,20 +87,11 @@ func runCheckRequest(req client.CheckRequest) (*client.CheckResponse, error) {
 		opts.File = "program.loop"
 	}
 
-	hierName := req.Hierarchy
-	if hierName == "" {
-		hierName = "scaled"
+	hier, err := cache.ByName(req.Hierarchy)
+	if err != nil {
+		return nil, err
 	}
-	switch hierName {
-	case "scaled":
-		opts.Hier = cache.ScaledItanium2()
-	case "full":
-		opts.Hier = cache.Itanium2()
-	case "opteron":
-		opts.Hier = cache.Opteron()
-	default:
-		return nil, fmt.Errorf("unknown hierarchy %q (want scaled, full, or opteron)", req.Hierarchy)
-	}
+	opts.Hier = hier
 
 	for name := range req.Params {
 		if _, ok := prog.Defaults[name]; !ok {

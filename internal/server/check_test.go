@@ -97,7 +97,8 @@ routine main file bad.f line 1 {
 }
 
 // TestCheckEndpointRejects pins the validation errors: both or neither
-// source, unknown workload, unknown hierarchy/level, unknown fields.
+// source, unknown workload, unknown hierarchy/level, unknown fields, a
+// program that does not parse.
 func TestCheckEndpointRejects(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	post := func(body string) *client.Error {
@@ -126,6 +127,7 @@ func TestCheckEndpointRejects(t *testing.T) {
 		{"bad level", `{"workload":"fig1a","level":"L9"}`, "no level"},
 		{"bad param", `{"workload":"fig1a","params":{"BOGUS":1}}`, "no parameter"},
 		{"unknown field", `{"workload":"fig1a","bogus":true}`, "bogus"},
+		{"constant modulo by zero", `{"program":"program p\narray A f64 [4]\nroutine main {\n  access A[1 % 0]\n}\n"}`, "constant modulo by zero"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

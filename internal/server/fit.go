@@ -219,19 +219,6 @@ func FitSpec(req client.PredictRequest) client.FitRequest {
 	}
 }
 
-// hierByName maps a v1 hierarchy name to the machine model.
-func hierByName(name string) (*cache.Hierarchy, error) {
-	switch name {
-	case "", "scaled":
-		return cache.ScaledItanium2(), nil
-	case "full":
-		return cache.Itanium2(), nil
-	case "opteron":
-		return cache.Opteron(), nil
-	}
-	return nil, fmt.Errorf("unknown hierarchy %q (want scaled, full, or opteron)", name)
-}
-
 // fit executes the training runs (warm training inputs come straight
 // from the result cache) and fits the model. Runs before it in the
 // worker pool give it their cache entries for free — the coordinator
@@ -461,7 +448,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
 		return
 	}
-	hier, err := hierByName(m.Hierarchy)
+	hier, err := cache.ByName(m.Hierarchy)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, client.CodeInternal, "model hierarchy: %v", err)
 		return
