@@ -311,6 +311,36 @@ func TestRunCheckFindings(t *testing.T) {
 	checkGolden(t, "findings", []string{path}, "")
 }
 
+// layoutFailure is a program that parses but cannot run: its array
+// extent divides by a parameter that is zero.
+const layoutFailure = `program z
+param Z 0
+array A f64 [4 / Z]
+routine main file z.f line 1 {
+  for i = 0 .. 3 line 2 {
+    access A[i]
+  }
+}
+`
+
+// TestRunCheckLayoutDefect: a program whose arrays cannot be laid out
+// does not check clean. It exits 1 with a layout defect that carries
+// the interpreter's error, anchored at the program file.
+func TestRunCheckLayoutDefect(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "z.loop")
+	if err := os.WriteFile(path, []byte(layoutFailure), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	if code := runCheck(&out, &errw, []string{path}, "", "", nil, checkConfig{}); code != 1 {
+		t.Fatalf("exit = %d, want 1\n%s%s", code, out.String(), errw.String())
+	}
+	want := path + ":0: layout: "
+	if got := out.String(); !strings.Contains(got, want) || !strings.Contains(got, "division by zero") {
+		t.Errorf("output lacks %q with the interpreter error:\n%s", want, got)
+	}
+}
+
 // TestRunCheckParseError: a malformed file exits 2.
 func TestRunCheckParseError(t *testing.T) {
 	dir := t.TempDir()

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -512,36 +509,9 @@ func (c *Coordinator) finishLocal(j *proxyJob, status client.JobStatus, msg stri
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code client.ErrorCode, format string, args ...any) {
-	writeJSON(w, status, client.ErrorEnvelope{
-		APIVersion: client.APIVersion,
-		Err:        client.ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)},
-	})
-}
-
 func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > c.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", c.cfg.MaxBodyBytes)
-		return
-	}
 	var req client.AnalyzeRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if !server.DecodeRequest(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	// The coordinator computes the same content-addressed key the
@@ -549,19 +519,19 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// is what routes a repeated analysis back to its warm node.
 	key, err := server.CacheKeyFor(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
 		return
 	}
 
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, client.CodeDraining, "coordinator is draining")
+		server.WriteError(w, http.StatusServiceUnavailable, client.CodeDraining, "coordinator is draining")
 		return
 	}
 	if c.ring.Len() == 0 {
 		c.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
+		server.WriteError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
 		return
 	}
 	c.nextID++
@@ -586,7 +556,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	c.metrics.JobsProxied.Add(1)
 	go c.watch(j)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	server.WriteJSON(w, http.StatusAccepted, j.snapshot())
 }
 
 func (c *Coordinator) job(id string) (*proxyJob, bool) {
@@ -599,10 +569,10 @@ func (c *Coordinator) job(id string) (*proxyJob, bool) {
 func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	server.WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -610,7 +580,7 @@ func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
 	switch state {
 	case "", client.JobQueued, client.JobRunning, client.JobDone, client.JobFailed, client.JobCanceled:
 	default:
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "unknown state %q", state)
+		server.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "unknown state %q", state)
 		return
 	}
 	c.mu.Lock()
@@ -629,26 +599,26 @@ func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
 		doc.Report, doc.Result = "", nil
 		list.Jobs = append(list.Jobs, doc)
 	}
-	writeJSON(w, http.StatusOK, list)
+	server.WriteJSON(w, http.StatusOK, list)
 }
 
 func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	j.mu.Lock()
 	if j.doc.Status.Terminal() {
 		j.mu.Unlock()
-		writeError(w, http.StatusConflict, client.CodeConflict, "job %s is not cancelable", j.id)
+		server.WriteError(w, http.StatusConflict, client.CodeConflict, "job %s is not cancelable", j.id)
 		return
 	}
 	j.canceled = true
 	j.mu.Unlock()
 	// The watcher proxies the cancel to whichever worker holds the job
 	// and folds the terminal state back in; report the current view.
-	writeJSON(w, http.StatusOK, j.snapshot())
+	server.WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (c *Coordinator) handleNodes(w http.ResponseWriter, _ *http.Request) {
@@ -664,7 +634,7 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, _ *http.Request) {
 	}
 	c.mu.Unlock()
 	sort.Slice(list.Nodes, func(i, j int) bool { return list.Nodes[i].URL < list.Nodes[j].URL })
-	writeJSON(w, http.StatusOK, list)
+	server.WriteJSON(w, http.StatusOK, list)
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -692,7 +662,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, client.Health{
+	server.WriteJSON(w, code, client.Health{
 		APIVersion:   client.APIVersion,
 		Status:       status,
 		Role:         "coordinator",

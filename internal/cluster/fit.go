@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,20 +22,8 @@ import (
 // POST /v1/predict proxies synchronously to the model's ring owner.
 
 func (c *Coordinator) handleFit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > c.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", c.cfg.MaxBodyBytes)
-		return
-	}
 	var req client.FitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if !server.DecodeRequest(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	// The model key is the shard address AND the early soundness gate:
@@ -47,24 +34,24 @@ func (c *Coordinator) handleFit(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, predict.ErrUnsoundTraining) {
 			code = client.CodeUnsoundTrainingInput
 		}
-		writeError(w, http.StatusBadRequest, code, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, code, "%v", err)
 		return
 	}
 	trainReqs, err := server.TrainingRequests(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
 		return
 	}
 
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, client.CodeDraining, "coordinator is draining")
+		server.WriteError(w, http.StatusServiceUnavailable, client.CodeDraining, "coordinator is draining")
 		return
 	}
 	if c.ring.Len() == 0 {
 		c.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
+		server.WriteError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
 		return
 	}
 	c.nextID++
@@ -89,7 +76,7 @@ func (c *Coordinator) handleFit(w http.ResponseWriter, r *http.Request) {
 
 	c.metrics.FitsProxied.Add(1)
 	go c.watchFit(j, trainReqs)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	server.WriteJSON(w, http.StatusAccepted, j.snapshot())
 }
 
 // watchFit drives one fit end to end: schedule the training analyses as
@@ -226,31 +213,19 @@ func (c *Coordinator) pushCacheEntry(node, key string, entry []byte) error {
 // key's ring owner, walking successors on transport failure. The reply
 // is the worker's own — microsecond-latency from its cached model.
 func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > c.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", c.cfg.MaxBodyBytes)
-		return
-	}
 	var req client.PredictRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if !server.DecodeRequest(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	key := req.Model
 	if key == "" {
-		key, err = server.ModelKeyFor(server.FitSpec(req))
-		if err != nil {
+		var err error
+		if key, err = server.ModelKeyFor(server.FitSpec(req)); err != nil {
 			code := client.CodeInvalidRequest
 			if errors.Is(err, predict.ErrUnsoundTraining) {
 				code = client.CodeUnsoundTrainingInput
 			}
-			writeError(w, http.StatusBadRequest, code, "%v", err)
+			server.WriteError(w, http.StatusBadRequest, code, "%v", err)
 			return
 		}
 	}
@@ -266,7 +241,7 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		resp, err := ns.cli.Predict(ctx, req)
 		cancel()
 		if err == nil {
-			writeJSON(w, http.StatusOK, resp)
+			server.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		lastErr = err
@@ -274,14 +249,14 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &apiErr) && !apiErr.Temporary() {
 			// The worker answered conclusively (no model, bad binding):
 			// forward its verdict rather than asking another node.
-			writeError(w, apiErr.Status, apiErr.Code, "%s", apiErr.Message)
+			server.WriteError(w, apiErr.Status, apiErr.Code, "%s", apiErr.Message)
 			return
 		}
 		c.noteDead(ns, true)
 	}
 	if lastErr != nil {
-		writeError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no worker answered: %v", lastErr)
+		server.WriteError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no worker answered: %v", lastErr)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
+	server.WriteError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
 }

@@ -28,6 +28,7 @@ import (
 	"reusetool/internal/reusedist"
 	"reusetool/internal/sampling"
 	"reusetool/internal/staticanalysis"
+	"reusetool/internal/staticreuse"
 	"reusetool/internal/timing"
 	"reusetool/internal/trace"
 	"reusetool/internal/viewer"
@@ -106,6 +107,10 @@ type Result struct {
 	// so the summary's static-opportunity section checks the same
 	// program instance that was measured.
 	Params map[string]int64
+
+	// est is the static reuse estimate a StaticSource run built; the
+	// opportunity ranking reuses it instead of estimating again.
+	est *staticreuse.Result
 }
 
 // Misses reports total simulated misses at a level; it requires a
@@ -132,19 +137,25 @@ func (r *Result) Advice(level string, minShare float64) []advise.Recommendation 
 // Opportunities runs the static reuse checker over the analyzed program
 // and returns its opportunity diagnostics (hoistable invariant loads,
 // redundant region re-sweeps, layout mismatches) as ranked advice
-// items at one level. params must match the parameter overrides the
-// result was built with; Share is computed against the level's total
-// misses from this result's report.
-func (r *Result) Opportunities(level string, params map[string]int64) []advise.Recommendation {
+// items at one level. The checker reads the result's dependence
+// analysis and, for a static result, the estimate the run built; other
+// results are estimated here once, with the result's parameters. Share
+// is computed against the level's total misses from this result's
+// report.
+func (r *Result) Opportunities(level string) []advise.Recommendation {
 	if r.Info == nil {
 		return nil
 	}
-	diags := reusecheck.Check(r.Info, reusecheck.Options{
-		Params:            params,
-		AssumeInitialized: true,
-		Hier:              r.Hier,
-		Level:             level,
-	})
+	deps := r.Deps
+	if deps == nil {
+		deps = depend.Analyze(r.Info, r.Params)
+	}
+	est := r.est
+	if est == nil {
+		// A nil estimate (the layout failed) leaves no opportunity to rank.
+		est, _ = staticreuse.Estimate(r.Info, r.Hier, staticreuse.Options{Params: r.Params})
+	}
+	diags := reusecheck.CheckWith(r.Info, deps, est, reusecheck.Options{AssumeInitialized: true, Level: level})
 	total := 0.0
 	if r.Report != nil {
 		if lr := r.Report.Level(level); lr != nil {
@@ -177,7 +188,7 @@ func (r *Result) WriteSummary(w io.Writer, level string, minShare float64) error
 	if err := viewer.SummaryWith(w, r.Report, r.Deps, level, minShare); err != nil {
 		return err
 	}
-	recs := r.Opportunities(level, r.Params)
+	recs := r.Opportunities(level)
 	if len(recs) > 0 {
 		fmt.Fprintf(w, "\nStatic reuse opportunities (reusecheck, ranked by predicted %s miss reduction):\n", level)
 		for i, rec := range recs {

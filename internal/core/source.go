@@ -328,6 +328,7 @@ func (p Pipeline) runStatic(ctx context.Context, s StaticSource) (*Result, error
 		Collector: est.Collector,
 		Deps:      depend.Analyze(info, p.Params),
 		Params:    p.Params,
+		est:       est,
 	}, nil
 }
 

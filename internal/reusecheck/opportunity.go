@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"reusetool/internal/depend"
-	"reusetool/internal/interp"
 	"reusetool/internal/ir"
 	"reusetool/internal/metrics"
 	"reusetool/internal/staticreuse"
@@ -14,8 +13,8 @@ import (
 
 // missModel is the static miss prediction the opportunity detectors
 // rank with: per-(reference, carrying-scope) pattern misses and
-// per-reference totals at one cache level, from the same
-// staticreuse -> metrics pipeline the -static mode runs.
+// per-reference totals at one cache level, built from the caller's
+// staticreuse estimate through the metrics pipeline -static runs.
 type missModel struct {
 	level      string
 	blockBytes int64
@@ -30,22 +29,18 @@ type patternKey struct {
 	carry trace.ScopeID
 }
 
-func buildMissModel(info *ir.Info, opts Options) missModel {
-	m := missModel{level: opts.Level, patterns: map[patternKey]float64{}, byRef: map[trace.RefID]float64{}}
-	lvl := opts.Hier.Level(opts.Level)
+func buildMissModel(info *ir.Info, est *staticreuse.Result, level string) missModel {
+	m := missModel{level: level, patterns: map[patternKey]float64{}, byRef: map[trace.RefID]float64{}}
+	lvl := est.Hier.Level(level)
 	if lvl == nil {
 		return m
 	}
 	m.blockBytes = int64(lvl.LineSize())
-	est, err := staticreuse.Estimate(info, opts.Hier, staticreuse.Options{Params: opts.Params, HistRes: opts.HistRes})
+	rep, err := metrics.Build(info, est.Collector, est.Static, est.Hier, metrics.SetAssoc)
 	if err != nil {
 		return m
 	}
-	rep, err := metrics.Build(info, est.Collector, est.Static, opts.Hier, metrics.SetAssoc)
-	if err != nil {
-		return m
-	}
-	lr := rep.Level(opts.Level)
+	lr := rep.Level(level)
 	if lr == nil {
 		return m
 	}
@@ -62,17 +57,13 @@ func buildMissModel(info *ir.Info, opts Options) missModel {
 
 // opportunities runs the three opportunity detectors over the walker's
 // reference facts: loop-invariant loads, redundant region re-sweeps,
-// and layout-mismatched access orders. Each diagnostic carries the
-// predicted miss reduction and the legality verdict of the fixing
-// transformation.
-func opportunities(info *ir.Info, w *walker, deps *depend.Analysis, opts Options,
+// and layout-mismatched access orders. Address strides come from the
+// estimate's layout. Each diagnostic carries the predicted miss
+// reduction and the legality verdict of the fixing transformation.
+func opportunities(info *ir.Info, w *walker, deps *depend.Analysis, est *staticreuse.Result, level string,
 	fileOf func(*ir.Routine) string) []Diagnostic {
 
-	mach, err := interp.Layout(info, deps.Params)
-	if err != nil {
-		return nil // no layout, no address forms: defects-only degraded mode
-	}
-	model := buildMissModel(info, opts)
+	model := buildMissModel(info, est, level)
 
 	strideCache := map[*ir.Array][]int64{}
 	stridesOf := func(a *ir.Array) []int64 {
@@ -81,7 +72,7 @@ func opportunities(info *ir.Info, w *walker, deps *depend.Analysis, opts Options
 		}
 		s := make([]int64, a.Rank())
 		for d := range s {
-			s[d] = mach.ArrayStride(a, d)
+			s[d] = est.Machine.ArrayStride(a, d)
 		}
 		strideCache[a] = s
 		return s

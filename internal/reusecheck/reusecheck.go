@@ -17,6 +17,8 @@
 //	                 nest loop walks a small one (opportunity)
 //	bounds-proved    every subscript is provably within the array extent
 //	                 (note)
+//	layout           the arrays cannot be laid out under the parameters,
+//	                 so the program cannot run (defect)
 //	oob              a subscript provably leaves the array extent (defect)
 //	uninit-data      a data array is read through load but never written
 //	                 or initialized (defect)
@@ -27,10 +29,10 @@
 // the opportunity suite shares; the interval domain is depend.Range.
 //
 // Every opportunity is ranked by the predicted miss reduction obtained
-// from internal/staticreuse + internal/metrics at one cache level, and
-// cross-checked against internal/depend for the legality of the fixing
-// transformation, so output reads "saves ~N L2 misses, interchange
-// legal".
+// from the caller's internal/staticreuse estimate + internal/metrics at
+// one cache level, and cross-checked against internal/depend for the
+// legality of the fixing transformation, so output reads "saves ~N L2
+// misses, interchange legal".
 package reusecheck
 
 import (
@@ -40,7 +42,9 @@ import (
 
 	"reusetool/internal/cache"
 	"reusetool/internal/depend"
+	"reusetool/internal/interp"
 	"reusetool/internal/ir"
+	"reusetool/internal/staticreuse"
 )
 
 // Severity classifies a diagnostic.
@@ -141,31 +145,42 @@ type Options struct {
 	ParamLines map[string]int
 	// File is the fallback file name for findings without a position.
 	File string
-	// Hier is the cache hierarchy miss deltas are predicted on
-	// (default cache.ScaledItanium2).
+	// Hier is the cache hierarchy Check estimates miss deltas on
+	// (default cache.ScaledItanium2). CheckWith reads the hierarchy of
+	// the estimate it is given instead.
 	Hier *cache.Hierarchy
 	// Level is the hierarchy level miss deltas are reported at
 	// (default "L2").
 	Level string
-	// HistRes is the static estimator's histogram resolution (0 =
-	// default).
-	HistRes int
 }
 
-// Check runs every static check on a finalized program: the
-// dependence-level defect suite (defect.go), the
-// abstract-interpretation defect suite (dead stores, dead guards), the
-// ranked opportunity suite, and the provable-bounds notes. The result is deduplicated and sorted by
-// file:line:code:msg, so repeated runs are byte-reproducible.
+// Check runs every static check on a finalized program. It runs the
+// dependence analysis and the static reuse estimate once, with
+// opts.Params on opts.Hier, and hands both to CheckWith.
 func Check(info *ir.Info, opts Options) []Diagnostic {
 	if opts.Hier == nil {
 		opts.Hier = cache.ScaledItanium2()
 	}
+	deps := depend.Analyze(info, opts.Params)
+	// A nil estimate means the layout failed; CheckWith reports it.
+	est, _ := staticreuse.Estimate(info, opts.Hier, staticreuse.Options{Params: opts.Params})
+	return CheckWith(info, deps, est, opts)
+}
+
+// CheckWith runs every static check on a finalized program, reading
+// the dependence analysis and the static reuse estimate its caller
+// already built for the same parameters: the dependence-level defect
+// suite (defect.go), the abstract-interpretation defect suite (dead
+// stores, dead guards), the ranked opportunity suite, and the
+// provable-bounds notes. est is nil when the program's arrays cannot
+// be laid out; the layout error is then a defect and no opportunity is
+// ranked. opts.Params and opts.Hier are not read: deps and est fix
+// both. The result is deduplicated and sorted by file:line:code:msg,
+// so repeated runs are byte-reproducible.
+func CheckWith(info *ir.Info, deps *depend.Analysis, est *staticreuse.Result, opts Options) []Diagnostic {
 	if opts.Level == "" {
 		opts.Level = "L2"
 	}
-
-	deps := depend.Analyze(info, opts.Params)
 
 	fallback := opts.File
 	if fallback == "" && info.Prog.Main != nil {
@@ -196,7 +211,14 @@ func Check(info *ir.Info, opts Options) []Diagnostic {
 		})
 	}
 
-	out = append(out, opportunities(info, w, deps, opts, fileOf)...)
+	if est == nil {
+		if _, err := interp.Layout(info, deps.Params); err != nil {
+			out = append(out, Diagnostic{File: fileOf(nil), Code: "layout", Severity: SevDefect,
+				Msg: fmt.Sprintf("the arrays cannot be laid out: %v", err)})
+		}
+	} else {
+		out = append(out, opportunities(info, w, deps, est, opts.Level, fileOf)...)
+	}
 
 	return Sort(out)
 }

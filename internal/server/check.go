@@ -1,17 +1,9 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 
-	"reusetool/internal/cache"
-	"reusetool/internal/ir"
-	"reusetool/internal/lang"
 	"reusetool/internal/reusecheck"
-	"reusetool/internal/workloads"
 	"reusetool/pkg/client"
 )
 
@@ -26,95 +18,41 @@ func CheckHandler(maxBodyBytes int64) http.HandlerFunc {
 		maxBodyBytes = 16 << 20
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-			return
-		}
-		if int64(len(body)) > maxBodyBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", maxBodyBytes)
-			return
-		}
 		var req client.CheckRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+		if !DecodeRequest(w, r, maxBodyBytes, &req) {
 			return
 		}
 		resp, err := runCheckRequest(req)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
-// runCheckRequest validates a check request and runs the checker. It
-// mirrors resolve()'s program/hierarchy/level handling so /v1/check and
-// /v1/analyze reject the same inputs the same way.
+// runCheckRequest validates a check request the way /v1/analyze
+// validates its target (resolveTarget) and runs the checker.
 func runCheckRequest(req client.CheckRequest) (*client.CheckResponse, error) {
-	nSources := 0
-	if req.Workload != "" {
-		nSources++
-	}
-	if req.Program != "" {
-		nSources++
-	}
-	if nSources != 1 {
-		return nil, fmt.Errorf("exactly one of workload or program must be set")
-	}
-
-	opts := reusecheck.Options{Params: req.Params}
-	var prog *ir.Program
-	switch {
-	case req.Workload != "":
-		p, init, err := workloads.Build(req.Workload)
-		if err != nil {
-			return nil, err
-		}
-		prog = p
-		opts.AssumeInitialized = init != nil
-	case req.Program != "":
-		p, _, meta, err := lang.ParseFile("program.loop", req.Program)
-		if err != nil {
-			return nil, fmt.Errorf("program: %w", err)
-		}
-		prog = p
-		opts.Initialized = meta.Inited
-		opts.ParamLines = meta.ParamLines
-		opts.File = "program.loop"
-	}
-
-	hier, err := cache.ByName(req.Hierarchy)
+	const file = "program.loop"
+	t, err := resolveTarget(req.Workload, req.Program, file, req.Params, req.Hierarchy, req.Level)
 	if err != nil {
 		return nil, err
 	}
-	opts.Hier = hier
-
-	for name := range req.Params {
-		if _, ok := prog.Defaults[name]; !ok {
-			return nil, fmt.Errorf("program %s has no parameter %q", prog.Name, name)
-		}
+	opts := reusecheck.Options{Params: req.Params, Hier: t.hier, Level: t.level}
+	if req.Workload != "" {
+		opts.AssumeInitialized = t.init != nil
+	} else {
+		opts.Initialized, opts.ParamLines, opts.File = t.meta.Inited, t.meta.ParamLines, file
 	}
-
-	opts.Level = req.Level
-	if opts.Level == "" {
-		opts.Level = "L2"
-	}
-	if opts.Hier.Level(opts.Level) == nil {
-		return nil, fmt.Errorf("hierarchy %s has no level %q", opts.Hier.Name, opts.Level)
-	}
-
-	info, err := prog.Finalize()
+	info, err := t.prog.Finalize()
 	if err != nil {
 		return nil, err
 	}
 	diags := reusecheck.Check(info, opts)
 	resp := &client.CheckResponse{
 		APIVersion:  client.APIVersion,
-		Program:     prog.Name,
+		Program:     t.prog.Name,
 		Findings:    reusecheck.Findings(diags),
 		Diagnostics: make([]client.CheckDiagnostic, len(diags)),
 	}

@@ -96,6 +96,40 @@ routine main file bad.f line 1 {
 	}
 }
 
+// TestCheckEndpointLayoutDefect: a program whose arrays cannot be laid
+// out is a finding with code layout, not a clean check.
+func TestCheckEndpointLayoutDefect(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := `program z
+param Z 0
+array A f64 [4 / Z]
+routine main file z.f line 1 {
+  for i = 0 .. 3 line 2 {
+    access A[i]
+  }
+}
+`
+	resp, err := client.New(ts.URL).Check(context.Background(), client.CheckRequest{Program: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Findings < 1 {
+		t.Errorf("findings = %d, want >= 1", resp.Findings)
+	}
+	var hit bool
+	for _, d := range resp.Diagnostics {
+		if d.Code == "layout" {
+			hit = true
+			if d.Severity != "defect" || !strings.Contains(d.Msg, "division by zero") {
+				t.Errorf("layout diagnostic: %+v", d)
+			}
+		}
+	}
+	if !hit {
+		t.Errorf("no layout diagnostic in %+v", resp.Diagnostics)
+	}
+}
+
 // TestCheckEndpointRejects pins the validation errors: both or neither
 // source, unknown workload, unknown hierarchy/level, unknown fields, a
 // program that does not parse.

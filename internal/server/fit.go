@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -295,20 +294,8 @@ func (s *Server) fit(ctx context.Context, rf *resolvedFit) (*CacheEntry, error) 
 }
 
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		return
-	}
 	var req client.FitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if !DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	rf, err := resolveFit(req, s.cfg.MaxJobTimeout)
@@ -317,7 +304,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, predict.ErrUnsoundTraining) {
 			code = client.CodeUnsoundTrainingInput
 		}
-		writeError(w, http.StatusBadRequest, code, "%v", err)
+		WriteError(w, http.StatusBadRequest, code, "%v", err)
 		return
 	}
 	key := rf.modelKey()
@@ -326,7 +313,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	if entry, ok := s.cache.Get(r.Context(), key); ok && len(entry.Model) > 0 {
 		j := s.sched.NewJob(key, rf.timeout, nil)
 		s.sched.Complete(j, entry, true)
-		writeJSON(w, http.StatusOK, jobJSON(j))
+		WriteJSON(w, http.StatusOK, jobJSON(j))
 		return
 	}
 
@@ -339,10 +326,10 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		if err == ErrQueueFull {
 			status, code = http.StatusTooManyRequests, client.CodeQueueFull
 		}
-		writeError(w, status, code, "%v", err)
+		WriteError(w, status, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobJSON(j))
+	WriteJSON(w, http.StatusAccepted, jobJSON(j))
 }
 
 // modelCacheEntries bounds the per-daemon decoded-model cache. Decoded
@@ -396,35 +383,23 @@ func (s *Server) lookupModel(ctx context.Context, key string) (*predict.Model, e
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		return
-	}
 	var req client.PredictRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if !DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	key := req.Model
 	if key == "" {
-		key, err = ModelKeyFor(FitSpec(req))
-		if err != nil {
+		var err error
+		if key, err = ModelKeyFor(FitSpec(req)); err != nil {
 			code := client.CodeInvalidRequest
 			if errors.Is(err, predict.ErrUnsoundTraining) {
 				code = client.CodeUnsoundTrainingInput
 			}
-			writeError(w, http.StatusBadRequest, code, "%v", err)
+			WriteError(w, http.StatusBadRequest, code, "%v", err)
 			return
 		}
 	} else if !validCacheKey(key) {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed model key %q", key)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed model key %q", key)
 		return
 	}
 
@@ -434,23 +409,23 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	m, err := s.lookupModel(r.Context(), key)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, client.CodeInternal, "%v", err)
+		WriteError(w, http.StatusInternalServerError, client.CodeInternal, "%v", err)
 		return
 	}
 	if m == nil {
 		s.metrics.PredictNoModel.Add(1)
-		writeError(w, http.StatusNotFound, client.CodeNotFound,
+		WriteError(w, http.StatusNotFound, client.CodeNotFound,
 			"no fitted model %s; POST /v1/fit first", key)
 		return
 	}
 	pred, err := m.Predict(req.Params)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
 		return
 	}
 	hier, err := cache.ByName(m.Hierarchy)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, client.CodeInternal, "model hierarchy: %v", err)
+		WriteError(w, http.StatusInternalServerError, client.CodeInternal, "model hierarchy: %v", err)
 		return
 	}
 	levels := pred.LevelMisses(hier)
@@ -463,7 +438,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		level = "L2"
 	}
 	if hier.Level(level) == nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest,
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
 			"hierarchy %s has no level %q", hier.Name, level)
 		return
 	}
@@ -488,5 +463,5 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			CapacityMisses: lm.Capacity,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -58,35 +58,57 @@ type resolved struct {
 	sample    sampling.Config
 }
 
-// resolve validates a request and normalizes it into executable form.
-func resolve(req AnalyzeRequest, maxTimeout time.Duration) (*resolved, error) {
-	r := &resolved{req: req}
+// target is the program a v1 request names, with the machine and the
+// level it is analyzed or checked at.
+type target struct {
+	prog  *ir.Program
+	init  func(*interp.Machine) error
+	meta  *lang.FileMeta
+	hier  *cache.Hierarchy
+	level string
+}
 
-	nSources := 0
-	if req.Workload != "" {
-		nSources++
-	}
-	if req.Program != "" {
-		nSources++
-	}
-	if nSources != 1 {
+// resolveTarget validates what /v1/analyze and /v1/check accept alike:
+// exactly one of a built-in workload and inline source (parsed as file),
+// a known hierarchy, only parameters the program declares, and a level
+// of the hierarchy (default L2).
+func resolveTarget(workload, program, file string, params map[string]int64, hierName, level string) (*target, error) {
+	if (workload == "") == (program == "") {
 		return nil, fmt.Errorf("exactly one of workload or program must be set")
 	}
-
-	switch {
-	case req.Workload != "":
-		prog, init, err := workloads.Build(req.Workload)
-		if err != nil {
+	t := &target{level: level}
+	var err error
+	if workload != "" {
+		if t.prog, t.init, err = workloads.Build(workload); err != nil {
 			return nil, err
 		}
-		r.prog, r.init, r.name = prog, init, prog.Name
-	case req.Program != "":
-		prog, init, err := lang.Parse(req.Program)
-		if err != nil {
-			return nil, fmt.Errorf("program: %w", err)
-		}
-		r.prog, r.init, r.name = prog, init, prog.Name
+	} else if t.prog, t.init, t.meta, err = lang.ParseFile(file, program); err != nil {
+		return nil, fmt.Errorf("program: %w", err)
 	}
+	if t.hier, err = cache.ByName(hierName); err != nil {
+		return nil, err
+	}
+	for name := range params {
+		if _, ok := t.prog.Defaults[name]; !ok {
+			return nil, fmt.Errorf("program %s has no parameter %q", t.prog.Name, name)
+		}
+	}
+	if t.level == "" {
+		t.level = "L2"
+	}
+	if t.hier.Level(t.level) == nil {
+		return nil, fmt.Errorf("hierarchy %s has no level %q", t.hier.Name, t.level)
+	}
+	return t, nil
+}
+
+// resolve validates a request and normalizes it into executable form.
+func resolve(req AnalyzeRequest, maxTimeout time.Duration) (*resolved, error) {
+	t, err := resolveTarget(req.Workload, req.Program, "<input>", req.Params, req.Hierarchy, req.Level)
+	if err != nil {
+		return nil, err
+	}
+	r := &resolved{req: req, prog: t.prog, init: t.init, name: t.prog.Name, hier: t.hier, level: t.level}
 	// Canonical IR bytes: the formatted program is whitespace- and
 	// comment-insensitive, so trivially different spellings of the same
 	// program share a cache key.
@@ -131,25 +153,6 @@ func resolve(req AnalyzeRequest, maxTimeout time.Duration) (*resolved, error) {
 	r.hierName = req.Hierarchy
 	if r.hierName == "" {
 		r.hierName = "scaled"
-	}
-	hier, err := cache.ByName(r.hierName)
-	if err != nil {
-		return nil, err
-	}
-	r.hier = hier
-
-	for name := range req.Params {
-		if _, ok := r.prog.Defaults[name]; !ok {
-			return nil, fmt.Errorf("program %s has no parameter %q", r.name, name)
-		}
-	}
-
-	r.level = req.Level
-	if r.level == "" {
-		r.level = "L2"
-	}
-	if r.hier.Level(r.level) == nil {
-		return nil, fmt.Errorf("hierarchy %s has no level %q", r.hier.Name, r.level)
 	}
 	r.minShare = req.MinShare
 	if r.minShare == 0 {

@@ -191,7 +191,9 @@ func jobJSON(j *Job) *JobJSON {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body of a response with the
+// given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -199,35 +201,46 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError emits the structured v1 error envelope:
+// WriteError emits the structured v1 error envelope:
 // {"api_version":"v1","error":{"code":"...","message":"..."}}.
-func writeError(w http.ResponseWriter, status int, code client.ErrorCode, format string, args ...any) {
-	writeJSON(w, status, client.ErrorEnvelope{
+func WriteError(w http.ResponseWriter, status int, code client.ErrorCode, format string, args ...any) {
+	WriteJSON(w, status, client.ErrorEnvelope{
 		APIVersion: client.APIVersion,
 		Err:        client.ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)},
 	})
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+// DecodeRequest decodes the JSON body of a v1 request into v. A body
+// over maxBytes is a 413 too_large; an unreadable body, malformed JSON
+// or an unknown field is a 400 invalid_request. On failure the error
+// response is written and DecodeRequest returns false.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBytes+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
+		return false
 	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		return
+	if int64(len(body)) > maxBytes {
+		WriteError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", maxBytes)
+		return false
 	}
-	var req AnalyzeRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if err := dec.Decode(v); err != nil {
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	var req AnalyzeRequest
+	if !DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	rr, err := resolve(req, s.cfg.MaxJobTimeout)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
 		return
 	}
 	key := rr.cacheKey()
@@ -238,7 +251,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if entry, ok := s.cache.Get(r.Context(), key); ok {
 		j := s.sched.NewJob(key, rr.timeout, nil)
 		s.sched.Complete(j, entry, true)
-		writeJSON(w, http.StatusOK, jobJSON(j))
+		WriteJSON(w, http.StatusOK, jobJSON(j))
 		return
 	}
 
@@ -268,19 +281,19 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if err == ErrQueueFull {
 			status, code = http.StatusTooManyRequests, client.CodeQueueFull
 		}
-		writeError(w, status, code, "%v", err)
+		WriteError(w, status, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobJSON(j))
+	WriteJSON(w, http.StatusAccepted, jobJSON(j))
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.sched.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, jobJSON(j))
+	WriteJSON(w, http.StatusOK, jobJSON(j))
 }
 
 // handleJobList serves GET /v1/jobs: job summaries in submission
@@ -292,7 +305,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	switch state {
 	case "", JobQueued, JobRunning, JobDone, JobFailed, JobCanceled:
 	default:
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "unknown state %q", state)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "unknown state %q", state)
 		return
 	}
 	list := client.JobList{APIVersion: client.APIVersion, Jobs: []client.Job{}}
@@ -304,21 +317,21 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		doc.Report, doc.Result = "", nil
 		list.Jobs = append(list.Jobs, *doc)
 	}
-	writeJSON(w, http.StatusOK, list)
+	WriteJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.sched.Job(id); !ok {
-		writeError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", id)
+		WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", id)
 		return
 	}
 	if !s.sched.Cancel(id) {
-		writeError(w, http.StatusConflict, client.CodeConflict, "job %s is not cancelable", id)
+		WriteError(w, http.StatusConflict, client.CodeConflict, "job %s is not cancelable", id)
 		return
 	}
 	j, _ := s.sched.Job(id)
-	writeJSON(w, http.StatusOK, jobJSON(j))
+	WriteJSON(w, http.StatusOK, jobJSON(j))
 }
 
 // handleCacheGet serves the shared-tier peer protocol: a verified
@@ -327,13 +340,13 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed cache key %q", key)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed cache key %q", key)
 		return
 	}
 	e, _ := s.cache.lookupLocal(key)
 	if e == nil {
 		s.metrics.PeerMisses.Add(1)
-		writeError(w, http.StatusNotFound, client.CodeNotFound, "no cache entry %s", key)
+		WriteError(w, http.StatusNotFound, client.CodeNotFound, "no cache entry %s", key)
 		return
 	}
 	s.metrics.PeerHits.Add(1)
@@ -347,20 +360,20 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed cache key %q", key)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed cache key %q", key)
 		return
 	}
 	var e CacheEntry
 	if err := gob.NewDecoder(io.LimitReader(r.Body, maxCacheEntryBytes)).Decode(&e); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode entry: %v", err)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode entry: %v", err)
 		return
 	}
 	if e.Key != key {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "entry key %s does not match path %s", e.Key, key)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "entry key %s does not match path %s", e.Key, key)
 		return
 	}
 	if err := e.verify(); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "verify: %v", err)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "verify: %v", err)
 		return
 	}
 	s.cache.PutLocal(&e)
@@ -375,7 +388,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, client.Health{
+	WriteJSON(w, code, client.Health{
 		APIVersion: client.APIVersion,
 		Status:     status,
 		Role:       "worker",

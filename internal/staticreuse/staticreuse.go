@@ -61,6 +61,9 @@ type Result struct {
 	Collector *reusedist.Collector
 	Static    *staticanalysis.Result
 	Stats     *Stats
+	// Machine is the memory layout the estimate was computed on; its
+	// array strides give callers the address forms the estimate used.
+	Machine *interp.Machine
 	// Approx reports that trip estimation used fallbacks (unknown bounds,
 	// undecidable branches).
 	Approx bool
@@ -125,6 +128,7 @@ func Estimate(info *ir.Info, hier *cache.Hierarchy, opts Options) (*Result, erro
 		Collector: col,
 		Static:    static,
 		Stats:     stats,
+		Machine:   mach,
 		Approx:    stats.Approx,
 	}, nil
 }
